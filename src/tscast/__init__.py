@@ -65,6 +65,7 @@ __all__ = [
     "SynthSpec",
     "Tape",
     "Tensor",
+    "TrainConfig",
     "ablation_run",
     "apply_normalizer",
     "backward",

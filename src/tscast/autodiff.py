@@ -6,12 +6,22 @@ and accumulates gradients into every recorded tensor that requires them.
 Outside a tape block the same functions run as plain numpy computations,
 which makes inference on frozen parameters free of bookkeeping.
 
-The operation set is deliberately small: matrix products, causal 1-d
-convolution, the pointwise nonlinearities relu / sigmoid / tanh, and the
-shape and reduction helpers the forecaster needs. Everything is computed
-in double precision with a fixed, deterministic summation order, so that
-identical inputs give bit-identical values and gradients. The relu
-derivative at exactly zero is defined as zero.
+The operation set is deliberately small:
+
+- elementwise add / sub / mul and the broadcast bias adds add_rowvec /
+  add_colvec;
+- matmul, and causal_conv1d computed as one GEMM per kernel tap;
+- gru_sequence, a whole GRU recurrence as one record with a hand-written
+  backpropagation through time;
+- the pointwise nonlinearities relu / sigmoid / tanh (sigmoid is branched
+  on the sign, so it never overflows);
+- the shape and reduction helpers concat, stack, column, transpose,
+  reshape and mean_all.
+
+Everything is computed in double precision with a fixed summation order,
+so that identical inputs give bit-identical values and gradients at a
+fixed BLAS thread count. The relu derivative at exactly zero is defined as
+zero.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ __all__ = [
     "concat",
     "constant",
     "finite_diff_grad",
+    "gru_sequence",
     "matmul",
     "mean_all",
     "pointwise",
@@ -39,7 +50,6 @@ __all__ = [
     "reshape",
     "sigmoid",
     "stack",
-    "step_cols",
     "tanh",
     "transpose",
 ]
@@ -329,6 +339,10 @@ def causal_conv1d(x, w, b) -> Tensor:
     and ``b`` is (C_out,). The kernel's last tap w[..., K-1] multiplies the
     current time step, so output at time t depends only on inputs at
     times <= t.
+
+    The forward pass and both gradients are one GEMM per tap on shifted
+    views of the padded input; no K-fold copy of the input is made. An
+    unbatched input is computed as a batch of one.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xv, wv, bv = x.values, w.values, b.values
@@ -346,32 +360,169 @@ def causal_conv1d(x, w, b) -> Tensor:
         )
 
     batched = xv.ndim == 3
-    pad = [(0, 0)] * (xv.ndim - 1) + [(k - 1, 0)]
-    xp = np.pad(xv, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)
-    if batched:
-        out_v = np.einsum("oik,bitk->bot", wv, win) + bv[None, :, None]
-    else:
-        out_v = np.einsum("oik,itk->ot", wv, win) + bv[:, None]
-    out = Tensor(out_v)
+    xb = xv if batched else xv[None]
+    n = xb.shape[0]
+    # Time-major rows: row j of the flattened padded input is sequence
+    # j // span at padded time j % span, so output row j is the sum over taps
+    # of xf[j + tap] @ w[:, :, tap].T. The first `rows` rows cover every
+    # sequence's T outputs; rows whose taps would reach into the next
+    # sequence (padded times >= T) are computed and dropped.
+    span = t_len + k - 1
+    rows = n * span - (k - 1)
+    xp = np.zeros((n, span, c_in))
+    xp[:, k - 1 :, :] = xb.transpose(0, 2, 1)
+    xf = xp.reshape(n * span, c_in)
+    taps = np.ascontiguousarray(wv.transpose(2, 1, 0))  # (K, C_in, C_out)
+    yf = np.empty((n * span, c_out))
+    prod = np.empty((rows, c_out))
+    np.matmul(xf[:rows], taps[0], out=yf[:rows])
+    for tap in range(1, k):
+        yf[:rows] += np.matmul(xf[tap : tap + rows], taps[tap], out=prod)
+    out_v = np.empty((n, c_out, t_len))
+    np.add(yf.reshape(n, span, c_out)[:, :t_len, :].transpose(0, 2, 1), bv[:, None], out=out_v)
+    out = Tensor(out_v if batched else out_v[0])
 
     def grad_fn(g, needs):
         gx = gw = gb = None
+        gy = np.zeros((n, span, c_out))
+        gy[:, :t_len, :] = (g if batched else g[None]).transpose(0, 2, 1)
+        gyf = gy.reshape(n * span, c_out)[:rows]  # dropped rows get zero gradient
         if needs[0]:
-            gxp = np.zeros_like(xp)
+            gxf = np.zeros((n * span, c_in))
+            back = np.empty((rows, c_in))
             for tap in range(k):
-                if batched:
-                    gxp[:, :, tap : tap + t_len] += np.einsum("oi,bot->bit", wv[:, :, tap], g)
-                else:
-                    gxp[:, tap : tap + t_len] += wv[:, :, tap].T @ g
-            gx = gxp[..., k - 1 :]
+                gxf[tap : tap + rows] += np.matmul(gyf, taps[tap].T, out=back)
+            gxb = np.ascontiguousarray(gxf.reshape(n, span, c_in)[:, k - 1 :, :].transpose(0, 2, 1))
+            gx = gxb if batched else gxb[0]
         if needs[1]:
-            gw = np.einsum("bot,bitk->oik", g, win) if batched else np.einsum("ot,itk->oik", g, win)
+            gtaps = np.stack([xf[tap : tap + rows].T @ gyf for tap in range(k)])  # (K, C_in, C_out)
+            gw = np.ascontiguousarray(gtaps.transpose(2, 1, 0))
         if needs[2]:
             gb = g.sum(axis=(0, 2)) if batched else g.sum(axis=1)
         return gx, gw, gb
 
     return _record(out, (x, w, b), grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# recurrent sequence op
+
+
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function branched on the sign, so exp never overflows."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0.0, 1.0 / d, e / d)
+
+
+def gru_sequence(x, w, u, b) -> Tensor:
+    """Run a GRU over a whole sequence from a zero state, as one tape record.
+
+    ``x`` is (B, C, T), or (C, T) as a batch of one. ``w``, ``u`` and ``b``
+    are the (z, r, h) triples of input weights (H, C), recurrent weights
+    (H, H) and biases (H,). Returns the final hidden state as (H, B), or
+    (H,) for an unbatched input. Each step, from h = 0:
+
+        z = sigmoid(W_z x_t + U_z h + b_z)
+        r = sigmoid(W_r x_t + U_r h + b_r)
+        cand = tanh(W_h x_t + U_h (r * h) + b_h)
+        h = (1 - z) * h + z * cand
+
+    The input projections of all steps are one (T*B, C) @ (C, 3H) GEMM with
+    the gates' weights stacked at call time. The gate activations are kept
+    while a tape records, and backward is hand-written backpropagation
+    through time.
+    """
+    x = _as_tensor(x)
+    gates = [tuple(_as_tensor(t) for t in triple) for triple in (w, u, b)]
+    if any(len(triple) != 3 for triple in gates):
+        raise DimensionError("gru_sequence: w, u and b must each hold the (z, r, h) gates")
+    w, u, b = gates
+    xv = x.values
+    if xv.ndim not in (2, 3):
+        raise DimensionError(f"gru_sequence: expected (C, T) or (B, C, T), got {xv.shape}")
+    batched = xv.ndim == 3
+    xb = xv if batched else xv[None]
+    n, c_in, t_len = xb.shape
+    hidden = u[0].shape[0]
+    for name, triple, shape in (("w", w, (hidden, c_in)), ("u", u, (hidden, hidden)), ("b", b, (hidden,))):
+        if any(t.shape != shape for t in triple):
+            got = [t.shape for t in triple]
+            raise DimensionError(f"gru_sequence: {name} gates {got} do not match {shape} for input {xv.shape}")
+    if t_len < 1:
+        raise ValueError("gru_sequence: empty sequence")
+
+    inputs = (x, *w, *u, *b)
+    keep = active_tape() is not None and any(_live(t) for t in inputs)
+    w_all = np.concatenate([t.values for t in w])  # (3H, C)
+    u_zr = np.concatenate([u[0].values, u[1].values])  # (2H, H)
+    u_h = u[2].values
+    x_rows = xb.transpose(2, 0, 1).reshape(t_len * n, c_in)  # time-major (T*B, C)
+    proj = x_rows @ w_all.T
+    proj += np.concatenate([t.values for t in b])
+    proj = proj.reshape(t_len, n, 3 * hidden)
+
+    # Per step: the state entering it, the gates [z, r], r * h and the
+    # candidate. Without a tape only the latest step is held.
+    depth = t_len if keep else 1
+    hs = np.zeros((depth + 1, n, hidden))
+    zrs = np.empty((depth, n, 2 * hidden))
+    rhs = np.empty((depth, n, hidden))
+    cands = np.empty((depth, n, hidden))
+    for t in range(t_len):
+        i = t if keep else 0
+        h, zr, rh, cand = hs[i], zrs[i], rhs[i], cands[i]
+        pre = h @ u_zr.T
+        pre += proj[t, :, : 2 * hidden]
+        zr[...] = _sigmoid(pre)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, u_h.T, out=cand)
+        cand += proj[t, :, 2 * hidden :]
+        np.tanh(cand, out=cand)
+        h_next = hs[i + 1]
+        np.subtract(cand, h, out=h_next)
+        h_next *= z
+        h_next += h  # h + z * (cand - h)
+        if not keep:
+            hs[0] = h_next
+    h = hs[-1]
+    out = Tensor(h.T if batched else h[0])
+
+    def grad_fn(g, needs):
+        da = np.empty((t_len, n, 3 * hidden))  # gradient of the gate pre-activations
+        dh = np.ascontiguousarray(g.T if batched else g[None, :])
+        for t in range(t_len - 1, -1, -1):
+            h, zr, cand = hs[t], zrs[t], cands[t]
+            z, r = zr[:, :hidden], zr[:, hidden:]
+            da_zr, da_h = da[t, :, : 2 * hidden], da[t, :, 2 * hidden :]
+            dcand = dh * z
+            np.multiply(dcand, 1.0 - cand * cand, out=da_h)
+            drh = da_h @ u_h  # gradient of r * h
+            np.multiply(dh, cand - h, out=da_zr[:, :hidden])
+            np.multiply(drh, h, out=da_zr[:, hidden:])
+            da_zr *= zr * (1.0 - zr)
+            dh = dh - dcand + drh * r + da_zr @ u_zr
+
+        da_rows = da.reshape(t_len * n, 3 * hidden)
+        grads = [None] * len(inputs)
+        if needs[0]:
+            gxb = np.ascontiguousarray((da_rows @ w_all).reshape(t_len, n, c_in).transpose(1, 2, 0))
+            grads[0] = gxb if batched else gxb[0]
+        gw = da_rows.T @ x_rows
+        gu_zr = da_rows[:, : 2 * hidden].T @ hs[:-1].reshape(t_len * n, hidden)
+        gu_h = da_rows[:, 2 * hidden :].T @ rhs.reshape(t_len * n, hidden)
+        gb = da_rows.sum(axis=0)
+        for i, gi in enumerate((
+            gw[:hidden], gw[hidden : 2 * hidden], gw[2 * hidden :],
+            gu_zr[:hidden], gu_zr[hidden:], gu_h,
+            gb[:hidden], gb[hidden : 2 * hidden], gb[2 * hidden :],
+        ), start=1):
+            if needs[i]:
+                grads[i] = gi
+        return tuple(grads)
+
+    return _record(out, inputs, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +542,7 @@ def relu(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    s = 1.0 / (1.0 + np.exp(-x.values))
+    s = _sigmoid(x.values)
     out = Tensor(s)
 
     def grad_fn(g, needs):
@@ -474,23 +625,6 @@ def column(x, j: int) -> Tensor:
             return (None,)
         gx = np.zeros(x.shape)
         gx[:, j] = g
-        return (gx,)
-
-    return _record(out, (x,), grad_fn)
-
-
-def step_cols(x, t: int) -> Tensor:
-    """Time step t of a batched (B, C, T) tensor, returned as (C, B)."""
-    x = _as_tensor(x)
-    if x.values.ndim != 3:
-        raise DimensionError(f"step_cols: expected (B, C, T), got shape {x.shape}")
-    out = Tensor(x.values[:, :, t].T.copy())
-
-    def grad_fn(g, needs):
-        if not needs[0]:
-            return (None,)
-        gx = np.zeros(x.shape)
-        gx[:, :, t] = g.T
         return (gx,)
 
     return _record(out, (x,), grad_fn)

@@ -424,8 +424,6 @@ def _cmd_synth_ablate(args) -> int:
     for seed in seeds:
         spec = replace(base_spec, seed=seed)
         model_config = default_ablation_model_config(seed=seed)
-        if args.no_ar_shortcut:
-            model_config = replace(model_config, use_ar_shortcut=False)
         train_config = default_ablation_train_config(seed=seed)
         if args.epochs is not None:
             train_config = replace(train_config, epochs=args.epochs)
@@ -535,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-steps", type=int, default=20)
     p.add_argument("--trace-series", type=int, default=2, help="held-out series to trace per seed")
     p.add_argument("--epochs", type=int, help="override training epochs per arm")
-    p.add_argument("--no-ar-shortcut", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=_cmd_synth_ablate)
 

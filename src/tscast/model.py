@@ -298,29 +298,17 @@ def gru_encode(g_seq, gru: GruParams) -> Tensor:
     """Run the GRU over a feature sequence from a zero state; return the
     final hidden state.
 
-    ``g_seq`` is (C, T_r), or (B, C, T_r) batched, in which case the result
-    is (H, B).
+    ``g_seq`` is (C, T_r), giving (H,), or (B, C, T_r) batched, giving
+    (H, B). Both forms are one :func:`autodiff.gru_sequence` record; the
+    result equals composing :func:`gru_step` over the sequence up to
+    rounding.
     """
-    if not isinstance(g_seq, Tensor):
-        g_seq = constant(g_seq)
-    hidden = gru.u_z.shape[0]
-    if g_seq.values.ndim == 2:
-        t_len = g_seq.shape[1]
-        if t_len < 1:
-            raise ValueError("gru_encode: empty sequence")
-        h = constant(np.zeros(hidden))
-        for t in range(t_len):
-            h = gru_step(h, ad.column(g_seq, t), gru)
-    elif g_seq.values.ndim == 3:
-        t_len = g_seq.shape[2]
-        if t_len < 1:
-            raise ValueError("gru_encode: empty sequence")
-        h = constant(np.zeros((hidden, g_seq.shape[0])))
-        for t in range(t_len):
-            h = gru_step(h, ad.step_cols(g_seq, t), gru)
-    else:
-        raise ad.DimensionError(f"gru_encode: expected (C, T) or (B, C, T), got {g_seq.shape}")
-    return h
+    return ad.gru_sequence(
+        g_seq,
+        (gru.w_z, gru.w_r, gru.w_h),
+        (gru.u_z, gru.u_r, gru.u_h),
+        (gru.b_z, gru.b_r, gru.b_h),
+    )
 
 
 def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, t: int, heads: list[HeadParams]) -> Tensor:
@@ -382,8 +370,10 @@ def forecast(window, params: ForecasterParams, config: ForecasterConfig) -> Tens
 def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) -> Tensor:
     """Batched forecast over (B, T, v) windows; returns (L, B, v).
 
-    Numerically equivalent to stacking per-window :func:`forecast` calls
-    (up to floating-point contraction order); used by the trainer.
+    Runs the same operations as per-window :func:`forecast` calls, which
+    compute a batch of one. The two agree to about 1e-15 on outputs of
+    order one, not bit for bit: the BLAS may split a product differently
+    for another batch size. Used by the trainer.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1:] != (config.T, config.v):

@@ -151,6 +151,8 @@ def predict_windows(
     params: ForecasterParams, config: ForecasterConfig, windows: list[ForecastWindow], chunk: int = 256
 ) -> np.ndarray:
     """Forecast a list of windows on frozen parameters; returns (N, L, v)."""
+    if len(windows) == 0:
+        raise ValueError("predict_windows: no windows to forecast (got an empty list)")
     outputs = []
     for lo in range(0, len(windows), chunk):
         inputs = np.stack([w.input for w in windows[lo : lo + chunk]])

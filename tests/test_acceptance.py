@@ -82,6 +82,13 @@ def test_criterion_1_gradient_suite():
             pr = constant(rng.normal(size=(4, 5)))
             gradcheck(lambda op=op, px=px, pr=pr: mean_all(ad.pointwise(op, px) * pr), [px])
 
+        gx = param(2, 3, 4)
+        gw = [param(2, 3) for _ in range(3)]
+        gu = [param(2, 2) for _ in range(3)]
+        gb = [param(2) for _ in range(3)]
+        rg = constant(rng.normal(size=(2, 2)))
+        gradcheck(lambda: mean_all(ad.gru_sequence(gx, gw, gu, gb) * rg), [gx, *gw, *gu, *gb])
+
         e1, e2 = param(3, 4), param(3, 4)
         re = constant(rng.normal(size=(3, 4)))
         gradcheck(lambda: mean_all((e1 * e2 + e1 - 2.0 * e2) * re), [e1, e2])
@@ -199,6 +206,7 @@ def test_criterion_4_ar_exactness():
         assert mse < 1e-3, f"one-step MSE {mse:.2e}"
 
 
+@pytest.mark.slow
 def test_criterion_5_ablation_reproduction():
     with criterion(5, "shortcut wins 20-step MSE on >= 4/5 seeds and mean DTW, under 15 min"):
         t0 = time.time()

@@ -219,6 +219,100 @@ def test_grad_causal_conv_batched():
     _check_op(lambda: mean_all(causal_conv1d(x, w, b) * r), [x, w, b])
 
 
+def _gru_gates(hidden, c_in, scale=0.5):
+    w = [_param(hidden, c_in) for _ in range(3)]
+    u = [_param(hidden, hidden) for _ in range(3)]
+    b = [_param(hidden) for _ in range(3)]
+    for t in (*w, *u):
+        t.values *= scale  # keep the gates away from saturation
+    return w, u, b
+
+
+@pytest.mark.parametrize("x_shape", [(4, 2, 5), (2, 6)])
+def test_grad_gru_sequence(x_shape):
+    w, u, b = _gru_gates(hidden=3, c_in=2)
+    x = _param(*x_shape)
+    r = _proj((3,) + x_shape[:-2])
+    _check_op(lambda: mean_all(ad.gru_sequence(x, w, u, b) * r), [x, *w, *u, *b])
+
+
+def test_gru_sequence_rejects_bad_shapes():
+    w, u, b = _gru_gates(hidden=3, c_in=2)
+    with pytest.raises(DimensionError):
+        ad.gru_sequence(np.zeros((3, 5)), w, u, b)  # 3 channels for 2-channel weights
+    with pytest.raises(DimensionError):
+        ad.gru_sequence(np.zeros(5), w, u, b)
+    with pytest.raises(DimensionError):
+        ad.gru_sequence(np.zeros((2, 5)), w[:2], u, b)
+    with pytest.raises(ValueError):
+        ad.gru_sequence(np.zeros((2, 0)), w, u, b)
+
+
+def _conv_einsum(x, w, b):
+    """Direct-sum causal convolution of (B, C_in, T): the reference the GEMM
+    form must match."""
+    k = w.shape[2]
+    xp = np.pad(x, [(0, 0), (0, 0), (k - 1, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)
+    return np.einsum("oik,bitk->bot", w, win) + b[None, :, None]
+
+
+def _conv_einsum_grads(x, w, g):
+    """Gradients of sum(g * conv(x, w, b)) with respect to x, w and b."""
+    k, t_len = w.shape[2], x.shape[-1]
+    xp = np.pad(x, [(0, 0), (0, 0), (k - 1, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)
+    gxp = np.zeros_like(xp)
+    for tap in range(k):
+        gxp[:, :, tap : tap + t_len] += np.einsum("oi,bot->bit", w[:, :, tap], g)
+    return gxp[:, :, k - 1 :], np.einsum("bot,bitk->oik", g, win), g.sum(axis=(0, 2))
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((3, 2, 17), (4, 2, 5)),   # batched
+    ((2, 9), (3, 2, 7)),       # unbatched, kernel nearly as long as the input
+    ((5, 1, 4), (2, 1, 6)),    # kernel longer than the sequence
+    ((2, 3, 1), (3, 3, 1)),    # a single step and a single tap
+])
+def test_causal_conv_matches_einsum_reference(x_shape, w_shape):
+    rng = np.random.default_rng(31)
+    xv, wv, bv = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (xv, wv, bv))
+    g = rng.normal(size=x_shape[:-2] + (w_shape[0], x_shape[-1]))
+    with Tape():
+        out = causal_conv1d(x, w, b)
+        backward(mean_all(out * constant(g)))
+
+    batched = len(x_shape) == 3
+    xb, gb = (xv, g) if batched else (xv[None], g[None])
+    ref_out = _conv_einsum(xb, wv, bv)
+    ref_gx, ref_gw, ref_gb = _conv_einsum_grads(xb, wv, gb / g.size)
+    if not batched:
+        ref_out, ref_gx = ref_out[0], ref_gx[0]
+    for analytic, reference in ((out.values, ref_out), (x.grad, ref_gx), (w.grad, ref_gw), (b.grad, ref_gb)):
+        assert analytic.shape == reference.shape
+        assert np.max(np.abs(analytic - reference)) <= 1e-12
+
+
+def test_sigmoid_does_not_overflow():
+    x = Tensor(np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0]), requires_grad=True)
+    with np.errstate(over="raise", under="ignore"), Tape():
+        y = sigmoid(x)
+        backward(mean_all(y))
+    assert np.array_equal(y.values[[0, 2, 4]], [0.0, 0.5, 1.0])
+    assert y.values[1] == pytest.approx(np.exp(-40.0), rel=1e-15)
+    assert np.all(np.isfinite(x.grad)) and x.grad[0] == 0.0 and x.grad[4] == 0.0
+
+
+def test_gru_sequence_saturated_gates_do_not_overflow():
+    w, u, b = _gru_gates(hidden=2, c_in=1, scale=1.0)
+    x = Tensor(np.array([[[1000.0, -1000.0, 1000.0]]]), requires_grad=True)
+    with np.errstate(over="raise", under="ignore"), Tape():
+        h = ad.gru_sequence(x, w, u, b)
+        backward(mean_all(h))
+    assert np.all(np.isfinite(h.values)) and np.all(np.isfinite(x.grad))
+
+
 def test_grad_pointwise():
     for op in ("relu", "sigmoid", "tanh"):
         x = _param(4, 5)
@@ -258,10 +352,6 @@ def test_grad_shape_ops():
     m = _param(4, 6)
     r4 = _proj((4,))
     _check_op(lambda: mean_all(ad.column(m, 2) * r4), [m])
-
-    t3 = _param(2, 3, 5)
-    r5 = _proj((3, 2))
-    _check_op(lambda: mean_all(ad.step_cols(t3, 1) * r5), [t3])
 
     r6 = _proj((6, 4))
     _check_op(lambda: mean_all(ad.transpose(m) * r6), [m])

@@ -200,6 +200,15 @@ def test_synth_ablate_emits_paired_results_and_traces(tmp_path):
         assert str(artifact) in manifest["artifacts"]
 
 
+def test_synth_ablate_rejects_no_ar_shortcut_flag(tmp_path, capsys):
+    # both arms set the shortcut themselves, so the command takes no such flag
+    with pytest.raises(SystemExit) as exc:
+        run(["synth-ablate", "--no-ar-shortcut", "--out-dir", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--no-ar-shortcut" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_manifest_references_inputs_with_digests(tmp_path):
     data = tmp_path / "data.csv"
     _write_series_csv(data)

@@ -207,6 +207,47 @@ def test_gru_encode_prefix_property():
     assert np.allclose(h.values, full, atol=1e-14)
 
 
+def _gru_step_oracle(x: Tensor, gru: GruParams) -> Tensor:
+    """Final GRU state by composing gru_step over time on taped slices:
+    (C, T) gives (H,), (B, C, T) gives (H, B)."""
+    hidden = gru.u_z.shape[0]
+    if x.values.ndim == 2:
+        h = constant(np.zeros(hidden))
+        for t in range(x.shape[1]):
+            h = gru_step(h, ad.column(x, t), gru)
+        return h
+    b, c, t_len = x.shape
+    rows = ad.reshape(x, (b * c, t_len))
+    h = constant(np.zeros((hidden, b)))
+    for t in range(t_len):
+        x_t = ad.transpose(ad.reshape(ad.column(rows, t), (b, c)))  # (C, B)
+        h = gru_step(h, x_t, gru)
+    return h
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (5, 3, 7), (1, 3, 1)])
+def test_gru_encode_equals_gru_step_composition(shape):
+    rng = np.random.default_rng(41)
+    gru = init_forecaster(TINY).full.gru
+    for name in GruParams.__dataclass_fields__:
+        getattr(gru, name).values[...] += 0.3 * rng.normal(size=getattr(gru, name).shape)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    params = [x] + [getattr(gru, name) for name in GruParams.__dataclass_fields__]
+    proj = constant(rng.normal(size=(4,) + shape[:-2]))
+
+    runs = []
+    for encode in (gru_encode, _gru_step_oracle):
+        with Tape():
+            h = encode(x, gru)
+            backward(mean_all(h * proj))
+        runs.append((h.values.copy(), [p.grad.copy() for p in params]))
+    (h_seq, g_seq), (h_ref, g_ref) = runs
+    assert h_seq.shape == h_ref.shape
+    assert np.max(np.abs(h_seq - h_ref)) <= 1e-12
+    for a, b in zip(g_seq, g_ref):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
 def test_gru_encode_rejects_empty():
     with pytest.raises(ValueError):
         gru_encode(np.zeros((3, 0)), _zero_gru(2, 3))

@@ -278,3 +278,17 @@ def test_sliding_forecast_rejects_short_context():
     params = init_forecaster(config)
     with pytest.raises(ValueError):
         sliding_forecast(params, config, np.zeros((30, 1)), start=7, total_steps=3)
+
+
+def test_predict_windows_rejects_empty_input():
+    config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
+    params = init_forecaster(config)
+    with pytest.raises(ValueError, match="empty"):
+        predict_windows(params, config, [])
+
+
+def test_train_config_is_exported():
+    import tscast
+
+    assert "TrainConfig" in tscast.__all__
+    assert tscast.TrainConfig is TrainConfig
