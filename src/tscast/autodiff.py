@@ -15,8 +15,8 @@ The operation set is deliberately small:
   backpropagation through time;
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid is branched
   on the sign, so it never overflows);
-- the shape and reduction helpers concat, stack, column, transpose,
-  reshape and mean_all.
+- the shape and reduction helpers concat, stack, transpose, reshape and
+  mean_all.
 
 Everything is computed in double precision with a fixed summation order,
 so that identical inputs give bit-identical values and gradients at a
@@ -27,6 +27,7 @@ zero.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "add_rowvec",
     "backward",
     "causal_conv1d",
-    "column",
     "concat",
     "constant",
     "finite_diff_grad",
@@ -75,7 +75,9 @@ class Tape:
 
     A tape is single-writer: one forward/backward pass at a time. Separate
     tapes are independent, so e.g. cross-validation folds may run in
-    parallel threads, each under its own tape.
+    parallel threads, each under its own tape. Recorded tensors refer to
+    their tape only weakly, so call backward while the tape is alive,
+    inside its ``with`` block.
     """
 
     def __init__(self):
@@ -105,7 +107,9 @@ class Node:
     def __init__(self, inputs, grad_fn, tape, index):
         self.inputs = inputs
         self.grad_fn = grad_fn  # maps output grad -> per-input grads (or None)
-        self.tape = tape
+        # weak, so a finished tape and its records are freed by reference
+        # counting as soon as the caller drops it, not by the cyclic collector
+        self.tape = weakref.ref(tape)
         self.index = index
 
 
@@ -613,23 +617,6 @@ def stack(tensors) -> Tensor:
     return _record(out, tuple(tensors), grad_fn)
 
 
-def column(x, j: int) -> Tensor:
-    """Column j of a matrix, as a vector."""
-    x = _as_tensor(x)
-    if x.values.ndim != 2:
-        raise DimensionError(f"column: expected a matrix, got shape {x.shape}")
-    out = Tensor(x.values[:, j].copy())
-
-    def grad_fn(g, needs):
-        if not needs[0]:
-            return (None,)
-        gx = np.zeros(x.shape)
-        gx[:, j] = g
-        return (gx,)
-
-    return _record(out, (x,), grad_fn)
-
-
 def transpose(x) -> Tensor:
     x = _as_tensor(x)
     if x.values.ndim != 2:
@@ -679,7 +666,12 @@ def backward(loss: Tensor) -> None:
     if loss.node is None:
         raise ValueError("backward: loss is not connected to a tape")
 
-    tape = loss.node.tape
+    tape = loss.node.tape()
+    if tape is None:
+        raise ValueError(
+            "backward: the tape that recorded the loss is gone; call backward "
+            "inside the `with Tape()` block that recorded it"
+        )
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     touched: list[Tensor] = []
 

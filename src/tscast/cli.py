@@ -303,7 +303,7 @@ def _cmd_evaluate(args) -> int:
 
     preds = predict_windows(params, model_config, windows)
     targets = np.stack([w.target for w in windows])
-    val_preds = predict_windows(params, model_config, val_windows)
+    val_preds = preds[-len(val_windows) :]  # validation_split holds out the tail
     val_targets = np.stack([w.target for w in val_windows])
 
     metrics_path = out / "metrics.csv"

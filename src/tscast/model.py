@@ -4,10 +4,11 @@ concatenated final hidden states, and a linear autoregressive shortcut on
 the most recent inputs, shared across variables. The network output and
 the shortcut output are summed.
 
-Parameters live in small dataclasses of autodiff Tensors. All forward
-functions accept either single instances (the documented contracts) or a
-batched leading dimension, which the trainer uses; both paths share the
-same primitive operations.
+Parameters live in small dataclasses of autodiff Tensors. The forward
+pass has one implementation, :func:`forecast_batch`, over a batch of
+windows. Each public piece is computed once on the whole batch, and the
+single-window forms (:func:`forecast` and the unbatched
+:func:`head_predict` and :func:`ar_predict`) are a batch of one, reshaped.
 """
 
 from __future__ import annotations
@@ -246,12 +247,16 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
 
 
 def multiscale_inputs(window: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The input block plus its half- and quarter-resolution averages."""
+    """The input block plus its half- and quarter-resolution averages.
+
+    ``window`` is (T,), (T, v), or (B, T, v) batched; time is the
+    second-to-last axis of the returned blocks.
+    """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
         window = window[:, None]
-    if window.shape[0] % 4 != 0:
-        raise ValueError(f"window length {window.shape[0]} must be a multiple of 4")
+    if window.shape[-2] % 4 != 0:
+        raise ValueError(f"window length {window.shape[-2]} must be a multiple of 4")
     return window, downsample_avg(window, 2), downsample_avg(window, 4)
 
 
@@ -311,106 +316,94 @@ def gru_encode(g_seq, gru: GruParams) -> Tensor:
     )
 
 
-def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, t: int, heads: list[HeadParams]) -> Tensor:
-    """Affine map of [h, h', h''] through output step t's own head; t is 1-based."""
-    if not 1 <= t <= len(heads):
+def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, t: int | None, heads: list[HeadParams]) -> Tensor:
+    """Affine map of [h, h', h''] through output step t's own head; t is 1-based.
+
+    The states are (H,), giving (v,), or (H, B) batched, giving (B, v).
+    ``t=None`` applies every head in turn and stacks the steps, giving
+    (L, v) or (L, B, v). The states are concatenated once for all steps.
+    """
+    if t is not None and not 1 <= t <= len(heads):
         raise ValueError(f"output step t={t} outside 1..{len(heads)}")
-    head = heads[t - 1]
     cat = ad.concat([h_full, h_half, h_quarter], axis=0)
-    if cat.values.ndim == 1:
-        return ad.matmul(cat, head.w) + head.b
-    return ad.add_rowvec(ad.matmul(ad.transpose(cat), head.w), head.b)  # (B, v)
+    batched = cat.values.ndim == 2
+    if not batched:
+        cat = ad.reshape(cat, (-1, 1))  # a batch of one
+    cat_t = ad.transpose(cat)  # (B, 3H)
+    used = heads if t is None else [heads[t - 1]]
+    outs = [ad.add_rowvec(ad.matmul(cat_t, head.w), head.b) for head in used]
+    out = outs[0] if t is not None else ad.stack(outs)  # (B, v) or (L, B, v)
+    if batched:
+        return out
+    return ad.reshape(out, out.shape[:-2] + out.shape[-1:])  # drop the batch axis
 
 
 def ar_predict(window, shortcut: ShortcutParams, ar_window: int) -> Tensor:
     """Linear forecast of each variable from its last ar_window values.
 
     The weight matrix (ar_window, L) and bias (L,) are shared across
-    variables; returns (L, v).
+    variables. ``window`` is (T,) or (T, v), giving (L, v), or (B, T, v)
+    batched, giving (L, B, v).
     """
     if shortcut is None:
         raise ValueError("ar_predict: this model was built without the shortcut")
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
         window = window[:, None]
-    if ar_window > window.shape[0]:
+    batched = window.ndim == 3
+    windows = window if batched else window[None]
+    b, t_len, v = windows.shape
+    if ar_window > t_len:
         raise ValueError(
-            f"ar_window={ar_window} exceeds the available {window.shape[0]} input steps"
+            f"ar_window={ar_window} exceeds the available {t_len} input steps"
         )
-    recent = constant(window[-ar_window:].T)  # (v, ar_window)
-    per_var = ad.add_rowvec(ad.matmul(recent, shortcut.w), shortcut.b)  # (v, L)
-    return ad.transpose(per_var)
+    # every (window, variable) pair is one column of trailing values
+    recent = constant(windows[:, -ar_window:, :].transpose(1, 0, 2).reshape(ar_window, b * v))
+    flat = ad.add_colvec(ad.matmul(ad.transpose(shortcut.w), recent), shortcut.b)  # (L, B*v)
+    return ad.reshape(flat, (-1, b, v) if batched else (-1, v))
 
 
 def forecast(window, params: ForecasterParams, config: ForecasterConfig) -> Tensor:
     """Full model prediction for one input window; returns (L, v).
 
-    The nonlinear path encodes the three resolutions and applies one head
-    per output step; the shortcut path, when enabled, adds the shared
-    linear regression on the trailing inputs.
+    Computed as :func:`forecast_batch` on a batch of one, so it equals
+    that batch's only row bit for bit.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
         window = window[:, None]
     if window.shape != (config.T, config.v):
         raise ValueError(f"window shape {window.shape} does not match (T={config.T}, v={config.v})")
-
-    s_full, s_half, s_quarter = multiscale_inputs(window)
-    h_full = gru_encode(conv_features(s_full.T, params.full), params.full.gru)
-    h_half = gru_encode(conv_features(s_half.T, params.half), params.half.gru)
-    h_quarter = gru_encode(conv_features(s_quarter.T, params.quarter), params.quarter.gru)
-
-    steps = [head_predict(h_full, h_half, h_quarter, t, params.heads) for t in range(1, config.L + 1)]
-    out = ad.stack(steps)  # (L, v)
-    if config.use_ar_shortcut:
-        out = out + ar_predict(window, params.shortcut, config.ar_window)
-    return out
+    return ad.reshape(forecast_batch(window[None], params, config), (config.L, config.v))
 
 
 def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) -> Tensor:
     """Batched forecast over (B, T, v) windows; returns (L, B, v).
 
-    Runs the same operations as per-window :func:`forecast` calls, which
-    compute a batch of one. The two agree to about 1e-15 on outputs of
-    order one, not bit for bit: the BLAS may split a product differently
-    for another batch size. Used by the trainer.
+    The nonlinear path encodes the three resolutions and applies one head
+    per output step; the shortcut path, when enabled, adds the shared
+    linear regression on the trailing inputs. This is the model's only
+    forward implementation. A row of a larger batch agrees with the same
+    window's batch of one to about 1e-15 on outputs of order one, not bit
+    for bit: the BLAS may split a product differently for another batch
+    size.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3 or windows.shape[1:] != (config.T, config.v):
         raise ValueError(
             f"batch shape {windows.shape} does not match (B, T={config.T}, v={config.v})"
         )
-    b = windows.shape[0]
 
     states = []
-    for stream, factor in ((params.full, 1), (params.half, 2), (params.quarter, 4)):
-        if factor == 1:
-            block = windows
-        else:
-            block = windows.reshape(b, config.T // factor, factor, config.v).mean(axis=2)
+    streams = (params.full, params.half, params.quarter)
+    for block, stream in zip(multiscale_inputs(windows), streams):
         x = np.swapaxes(block, 1, 2)  # (B, v, T_r)
         states.append(gru_encode(conv_features(x, stream), stream.gru))  # (H, B)
 
-    cat = ad.concat(states, axis=0)  # (3H, B)
-    cat_t = ad.transpose(cat)  # (B, 3H)
-
-    ar_rows = None
+    out = head_predict(*states, None, params.heads)  # (L, B, v)
     if config.use_ar_shortcut:
-        if params.shortcut is None:
-            raise ValueError("forecast_batch: config enables the shortcut but the model has none")
-        recent = np.swapaxes(windows[:, -config.ar_window :, :], 1, 2)  # (B, v, ar)
-        flat = constant(recent.reshape(b * config.v, config.ar_window))
-        ar_rows = ad.add_rowvec(ad.matmul(flat, params.shortcut.w), params.shortcut.b)  # (B*v, L)
-
-    steps = []
-    for t in range(1, config.L + 1):
-        head = params.heads[t - 1]
-        o_t = ad.add_rowvec(ad.matmul(cat_t, head.w), head.b)  # (B, v)
-        if ar_rows is not None:
-            l_t = ad.reshape(ad.column(ar_rows, t - 1), (b, config.v))
-            o_t = o_t + l_t
-        steps.append(o_t)
-    return ad.stack(steps)  # (L, B, v)
+        out = out + ar_predict(windows, params.shortcut, config.ar_window)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -159,18 +159,20 @@ def gaussian_smooth(frame: SeriesFrame, size: int = 5, std: float = 2.0) -> Seri
 def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
     """Average non-overlapping groups of `factor` consecutive rows.
 
+    ``block`` is (T,), (T, v), or (..., T, v) with leading batch axes; rows
+    are the second-to-last axis of a 2-d or larger block.
     [1, 2, 3, 4] with factor 2 gives [1.5, 3.5]; with factor 4 gives [2.5].
     """
     block = np.asarray(block, dtype=np.float64)
     squeeze = block.ndim == 1
     if squeeze:
         block = block[:, None]
-    t_len = block.shape[0]
+    *lead, t_len, v = block.shape
     if factor not in (2, 4):
         raise ValueError(f"downsample factor must be 2 or 4, got {factor}")
     if t_len % factor != 0:
         raise ValueError(f"length {t_len} is not divisible by factor {factor}")
-    out = block.reshape(t_len // factor, factor, block.shape[1]).mean(axis=1)
+    out = block.reshape(*lead, t_len // factor, factor, v).mean(axis=-2)
     return out[:, 0] if squeeze else out
 
 

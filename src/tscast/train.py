@@ -31,6 +31,8 @@ __all__ = [
     "validation_split",
 ]
 
+PREDICT_CHUNK = 256  # windows per forecast_batch call in predict_windows
+
 
 @dataclass
 class TrainConfig:
@@ -148,14 +150,14 @@ def validation_split(windows: list[ForecastWindow]) -> tuple[list[ForecastWindow
 
 
 def predict_windows(
-    params: ForecasterParams, config: ForecasterConfig, windows: list[ForecastWindow], chunk: int = 256
+    params: ForecasterParams, config: ForecasterConfig, windows: list[ForecastWindow]
 ) -> np.ndarray:
     """Forecast a list of windows on frozen parameters; returns (N, L, v)."""
     if len(windows) == 0:
         raise ValueError("predict_windows: no windows to forecast (got an empty list)")
     outputs = []
-    for lo in range(0, len(windows), chunk):
-        inputs = np.stack([w.input for w in windows[lo : lo + chunk]])
+    for lo in range(0, len(windows), PREDICT_CHUNK):
+        inputs = np.stack([w.input for w in windows[lo : lo + PREDICT_CHUNK]])
         pred = forecast_batch(inputs, params, config).values  # (L, B, v)
         outputs.append(np.swapaxes(pred, 0, 1))
     return np.concatenate(outputs, axis=0)
@@ -251,14 +253,18 @@ def cross_validate(
     """
     metrics: dict[str, list[float]] = {"mse": [], "mae": []}
 
-    one_step = build_windows(frame, model_config.T, 1, stride)
-    config_one = replace(model_config, L=1)
-    for fold, (train_idx, test_idx) in enumerate(blocked_kfold(len(one_step), k)):
-        fold_train = [one_step[i] for i in train_idx]
-        fold_test = [one_step[i] for i in test_idx]
-        fold_config = replace(config_one, seed=model_config.seed + fold)
-        params, _ = train_model(fold_train, fold_config, train_config)
-        preds = predict_windows(params, fold_config, fold_test)
+    def fold_predictions(horizon: int):
+        """(test windows, predictions) per fold, in fold order; fold i's
+        model is seeded with model_config.seed + i."""
+        windows = build_windows(frame, model_config.T, horizon, stride)
+        for fold, (train_idx, test_idx) in enumerate(blocked_kfold(len(windows), k)):
+            fold_train = [windows[i] for i in train_idx]
+            fold_test = [windows[i] for i in test_idx]
+            fold_config = replace(model_config, L=horizon, seed=model_config.seed + fold)
+            params, _ = train_model(fold_train, fold_config, train_config)
+            yield fold_test, predict_windows(params, fold_config, fold_test)
+
+    for fold_test, preds in fold_predictions(1):
         targets = np.stack([w.target for w in fold_test])
         metrics["mse"].append(float(np.mean((preds - targets) ** 2)))
         metrics["mae"].append(mae_metric(preds, targets))
@@ -266,14 +272,7 @@ def cross_validate(
     for horizon in horizons:
         name = f"dtw_{horizon}step"
         metrics[name] = []
-        h_windows = build_windows(frame, model_config.T, horizon, stride)
-        config_h = replace(model_config, L=horizon)
-        for fold, (train_idx, test_idx) in enumerate(blocked_kfold(len(h_windows), k)):
-            fold_train = [h_windows[i] for i in train_idx]
-            fold_test = [h_windows[i] for i in test_idx]
-            fold_config = replace(config_h, seed=model_config.seed + fold)
-            params, _ = train_model(fold_train, fold_config, train_config)
-            preds = predict_windows(params, fold_config, fold_test)
+        for fold_test, preds in fold_predictions(horizon):
             cost = 0.0
             for pred, window in zip(preds, fold_test):
                 cost += dtw_multivariate(pred, window.target, radius=dtw_radius)

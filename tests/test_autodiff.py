@@ -122,6 +122,31 @@ def test_backward_requires_tape_connection():
         backward(y)
 
 
+def test_backward_after_tape_is_gone_names_the_cause():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    with Tape():
+        y = x * x
+    with pytest.raises(ValueError, match="tape that recorded the loss is gone"):
+        backward(y)
+
+
+def test_finished_tape_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = mean_all(tanh(matmul(x, constant(np.ones((4, 2))))))
+            backward(loss)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_off_path_leaf_gets_zero_grad():
     a = Tensor(np.array(2.0), requires_grad=True)
     b = Tensor(np.array(5.0), requires_grad=True)
@@ -350,9 +375,6 @@ def test_grad_shape_ops():
     _check_op(lambda: mean_all(ad.stack([s1, s2]) * r3), [s1, s2])
 
     m = _param(4, 6)
-    r4 = _proj((4,))
-    _check_op(lambda: mean_all(ad.column(m, 2) * r4), [m])
-
     r6 = _proj((6, 4))
     _check_op(lambda: mean_all(ad.transpose(m) * r6), [m])
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from tscast.model import (
     ridge_fit,
     save_checkpoint,
 )
+from tscast.preprocess import ForecastWindow
+from tscast.train import predict_windows
 
 from _checks import gradcheck
 
@@ -209,18 +213,21 @@ def test_gru_encode_prefix_property():
 
 def _gru_step_oracle(x: Tensor, gru: GruParams) -> Tensor:
     """Final GRU state by composing gru_step over time on taped slices:
-    (C, T) gives (H,), (B, C, T) gives (H, B)."""
+    (C, T) gives (H,), (B, C, T) gives (H, B). Time step t is sliced out as
+    a product with the one-hot vector e_t, which is exact."""
     hidden = gru.u_z.shape[0]
+    t_len = x.shape[-1]
+    one_hot = np.eye(t_len)
     if x.values.ndim == 2:
         h = constant(np.zeros(hidden))
-        for t in range(x.shape[1]):
-            h = gru_step(h, ad.column(x, t), gru)
+        for t in range(t_len):
+            h = gru_step(h, ad.matmul(x, constant(one_hot[t])), gru)
         return h
-    b, c, t_len = x.shape
+    b, c, _ = x.shape
     rows = ad.reshape(x, (b * c, t_len))
     h = constant(np.zeros((hidden, b)))
     for t in range(t_len):
-        x_t = ad.transpose(ad.reshape(ad.column(rows, t), (b, c)))  # (C, B)
+        x_t = ad.transpose(ad.reshape(ad.matmul(rows, constant(one_hot[t])), (b, c)))  # (C, B)
         h = gru_step(h, x_t, gru)
     return h
 
@@ -386,6 +393,54 @@ def test_forecast_batch_matches_single():
     for i in range(5):
         single = forecast(windows[i], params, TINY).values
         assert np.allclose(batched[:, i, :], single, atol=1e-10)
+
+
+@pytest.mark.parametrize("use_ar_shortcut", [True, False])
+def test_forecast_is_a_batch_of_one_bit_for_bit(use_ar_shortcut):
+    config = replace(TINY, use_ar_shortcut=use_ar_shortcut)
+    params = init_forecaster(config)
+    _generic_point(params, np.random.default_rng(18))
+    for window in np.random.default_rng(19).normal(size=(4, 8, 2)):
+        single = forecast(window, params, config).values
+        assert single.shape == (config.L, config.v)
+        assert np.array_equal(single, forecast_batch(window[None], params, config).values[:, 0])
+
+
+def test_predict_windows_rows_agree_with_forecast():
+    config = ForecasterConfig(v=2, T=16, L=3, n_filters=4, kernel_size=3, gru_hidden=5, seed=20)
+    params = init_forecaster(config)
+    _generic_point(params, np.random.default_rng(20))
+    rng = np.random.default_rng(21)
+    windows = [ForecastWindow(input=rng.normal(size=(16, 2)), target=np.zeros((3, 2))) for _ in range(70)]
+    rows = predict_windows(params, config, windows)
+    for window, row in zip(windows, rows):
+        assert np.max(np.abs(row - forecast(window.input, params, config).values)) <= 1e-12
+
+
+def test_batched_head_and_ar_equal_per_window_calls():
+    # a per-window call is a batch of one (bit for bit); rows of a larger
+    # batch may differ in the last bits, as the BLAS splits products by size
+    params = init_forecaster(TINY)
+    _generic_point(params, np.random.default_rng(22))
+    rng = np.random.default_rng(23)
+    h = rng.normal(size=(3, 4, 6))
+    all_steps = head_predict(h[0], h[1], h[2], None, params.heads).values  # (L, B, v)
+    assert all_steps.shape == (TINY.L, 6, TINY.v)
+    for t in range(1, TINY.L + 1):
+        assert np.array_equal(all_steps[t - 1], head_predict(h[0], h[1], h[2], t, params.heads).values)
+        for i in range(6):
+            single = head_predict(h[0, :, i], h[1, :, i], h[2, :, i], t, params.heads).values
+            one = head_predict(h[0, :, i : i + 1], h[1, :, i : i + 1], h[2, :, i : i + 1], t, params.heads)
+            assert np.array_equal(single, one.values[0])
+            assert np.max(np.abs(all_steps[t - 1, i] - single)) <= 1e-12
+
+    windows = rng.normal(size=(6, 8, 2))
+    ar = ar_predict(windows, params.shortcut, TINY.ar_window).values  # (L, B, v)
+    assert ar.shape == (TINY.L, 6, TINY.v)
+    for i in range(6):
+        single = ar_predict(windows[i], params.shortcut, TINY.ar_window).values
+        assert np.array_equal(single, ar_predict(windows[i : i + 1], params.shortcut, TINY.ar_window).values[:, 0])
+        assert np.max(np.abs(ar[:, i] - single)) <= 1e-12
 
 
 def test_ar_exactness_on_affine_series():
