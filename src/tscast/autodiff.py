@@ -144,10 +144,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def copy(self) -> "Tensor":
-        out = Tensor(self.values.copy(), requires_grad=self.requires_grad)
-        return out
-
     def item(self) -> float:
         if self.values.size != 1:
             raise DimensionError(f"item() needs a scalar, got shape {self.shape}")

@@ -2,8 +2,8 @@
 multi-resolution FastDTW approximation.
 
 DTW here follows the classic recurrence
-    D(i, j) = dist(a_i, b_j) + min(D(i-1, j), D(i, j-1), D(i-1, j-1))
-with absolute difference as the default pointwise distance. FastDTW
+    D(i, j) = |a_i - b_j| + min(D(i-1, j), D(i, j-1), D(i-1, j-1))
+with absolute difference as the pointwise distance. FastDTW
 coarsens both sequences by pairwise averaging, solves recursively,
 projects the coarse warp path up one resolution, and refines inside a
 band of the given radius, per the usual multilevel scheme. Its cost is
@@ -47,13 +47,13 @@ def _as_sequence(x) -> np.ndarray:
     return seq
 
 
-def dtw_exact(a, b, dist=None) -> float:
+def dtw_exact(a, b) -> float:
     """Exact DTW cost, O(n*m) time."""
-    cost, _ = dtw_exact_path(a, b, dist)
+    cost, _ = dtw_exact_path(a, b)
     return cost
 
 
-def dtw_exact_path(a, b, dist=None):
+def dtw_exact_path(a, b):
     """Exact DTW cost plus one optimal warp path.
 
     The path is a list of (i, j) index pairs, 0-based, monotone in both
@@ -63,17 +63,16 @@ def dtw_exact_path(a, b, dist=None):
     a, b = _as_sequence(a), _as_sequence(b)
     n, m = a.size, b.size
     window = [(i, j) for i in range(n) for j in range(m)]
-    return _dtw_window(a, b, window, dist)
+    return _dtw_window(a, b, window)
 
 
-def _dtw_window(a, b, window, dist=None):
+def _dtw_window(a, b, window):
     """DP restricted to the given cells; cells outside are unreachable."""
-    d = dist if dist is not None else (lambda x, y: abs(x - y))
     inf = float("inf")
     acc: dict[tuple[int, int], float] = {}
     parent: dict[tuple[int, int], tuple[int, int] | None] = {}
     for i, j in window:
-        local = d(a[i], b[j])
+        local = abs(a[i] - b[j])
         if i == 0 and j == 0:
             acc[(i, j)] = local
             parent[(i, j)] = None
@@ -100,18 +99,17 @@ def _dtw_window(a, b, window, dist=None):
     return acc[end], path
 
 
-def dtw_bruteforce(a, b, dist=None) -> float:
+def dtw_bruteforce(a, b) -> float:
     """Exhaustive minimum over every valid warp path; test oracle only."""
     a, b = _as_sequence(a), _as_sequence(b)
     n, m = a.size, b.size
     if n > BRUTEFORCE_LIMIT or m > BRUTEFORCE_LIMIT:
         raise ValueError(f"brute force limited to length {BRUTEFORCE_LIMIT}")
-    d = dist if dist is not None else (lambda x, y: abs(x - y))
 
     best = [float("inf")]
 
     def walk(i, j, cost):
-        cost += d(a[i], b[j])
+        cost += abs(a[i] - b[j])
         if cost >= best[0]:
             return
         if i == n - 1 and j == m - 1:
@@ -128,22 +126,22 @@ def dtw_bruteforce(a, b, dist=None) -> float:
     return best[0]
 
 
-def fastdtw(a, b, radius: int = 1, dist=None) -> float:
+def fastdtw(a, b, radius: int = 1) -> float:
     """Multilevel DTW approximation with refinement radius ``radius``."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     a, b = _as_sequence(a), _as_sequence(b)
-    cost, _ = _fastdtw(a, b, radius, dist)
+    cost, _ = _fastdtw(a, b, radius)
     return cost
 
 
-def _fastdtw(a, b, radius, dist):
+def _fastdtw(a, b, radius):
     min_size = radius + 2
     if a.size <= min_size or b.size <= min_size:
-        return dtw_exact_path(a, b, dist)
-    _, coarse_path = _fastdtw(_halve(a), _halve(b), radius, dist)
+        return dtw_exact_path(a, b)
+    _, coarse_path = _fastdtw(_halve(a), _halve(b), radius)
     window = _expand_window(coarse_path, a.size, b.size, radius)
-    return _dtw_window(a, b, window, dist)
+    return _dtw_window(a, b, window)
 
 
 def _halve(x: np.ndarray) -> np.ndarray:
@@ -170,7 +168,7 @@ def _expand_window(coarse_path, n, m, radius):
     return sorted(cells)
 
 
-def dtw_multivariate(pred, target, radius: int | None = None, dist=None) -> float:
+def dtw_multivariate(pred, target, radius: int | None = None) -> float:
     """Sum of per-variable DTW costs between two (steps x v) blocks.
 
     ``radius=None`` computes exact DTW per column; an integer uses the
@@ -187,7 +185,7 @@ def dtw_multivariate(pred, target, radius: int | None = None, dist=None) -> floa
     total = 0.0
     for j in range(pred.shape[1]):
         if radius is None:
-            total += dtw_exact(pred[:, j], target[:, j], dist)
+            total += dtw_exact(pred[:, j], target[:, j])
         else:
-            total += fastdtw(pred[:, j], target[:, j], radius, dist)
+            total += fastdtw(pred[:, j], target[:, j], radius)
     return total

@@ -161,26 +161,6 @@ class ForecasterParams:
         for t in self.parameters():
             t.zero_grad()
 
-    def copy(self) -> "ForecasterParams":
-        def copy_stream(s: StreamParams) -> StreamParams:
-            return StreamParams(
-                conv1_w=s.conv1_w.copy(),
-                conv1_b=s.conv1_b.copy(),
-                conv2_w=s.conv2_w.copy(),
-                conv2_b=s.conv2_b.copy(),
-                gru=GruParams(**{k: getattr(s.gru, k).copy() for k in GruParams.__dataclass_fields__}),
-            )
-
-        return ForecasterParams(
-            full=copy_stream(self.full),
-            half=copy_stream(self.half),
-            quarter=copy_stream(self.quarter),
-            heads=[HeadParams(w=h.w.copy(), b=h.b.copy()) for h in self.heads],
-            shortcut=None
-            if self.shortcut is None
-            else ShortcutParams(w=self.shortcut.w.copy(), b=self.shortcut.b.copy()),
-        )
-
 
 def count_parameters(config: ForecasterConfig) -> int:
     """Closed-form learnable parameter count for a given configuration."""

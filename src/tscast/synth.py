@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import dtw_multivariate
 from .model import ForecasterConfig
-from .preprocess import SeriesFrame, build_windows, preprocess_frame
+from .preprocess import ForecastWindow, SeriesFrame, build_windows, preprocess_frame
 from .train import TrainConfig, sliding_forecast, train_model
 
 __all__ = [
@@ -33,6 +33,9 @@ __all__ = [
     "evaluate_arm",
     "generate",
 ]
+
+HOLDOUT_FRACTION = 0.2  # share of the corpus, from the tail, held out for scoring
+WINDOW_STRIDE = 2  # stride of the training windows
 
 
 @dataclass
@@ -146,56 +149,33 @@ class AblationResult:
 
 
 def evaluate_arm(
-    corpus: list[SynthSeries],
+    windows: list[ForecastWindow],
+    held_out: list[np.ndarray],
     model_config: ForecasterConfig,
     train_config: TrainConfig,
     eval_steps: int = 20,
-    holdout_fraction: float = 0.2,
-    stride: int = 2,
-) -> tuple[AblationArm, list[dict]]:
-    """Train one model on the leading series, score sliding multi-step
-    forecasts on the held-out tail series. Returns the arm result plus a
-    forecast-vs-truth trace per held-out series.
+) -> tuple[AblationArm, list[np.ndarray]]:
+    """Train one model on the training windows, score sliding multi-step
+    forecasts on each preprocessed held-out series (a (length, 1) array).
+    Returns the arm result plus the (eval_steps, 1) forecast per held-out
+    series.
     """
-    n_holdout = max(1, int(round(holdout_fraction * len(corpus))))
-    if n_holdout >= len(corpus):
-        raise ValueError("holdout fraction leaves no training series")
-    train_series = corpus[:-n_holdout]
-    eval_series = corpus[-n_holdout:]
-
-    processed: dict[int, np.ndarray] = {}
-    windows = []
-    for idx, series in enumerate(corpus):
-        frame, _ = preprocess_frame(SeriesFrame(["y"], series.values[:, None]))
-        processed[idx] = frame.data
-        if idx < len(train_series):
-            windows.extend(build_windows(frame, model_config.T, model_config.L, stride))
-
     params, _ = train_model(windows, model_config, train_config)
 
-    mse_list, dtw_list, traces = [], [], []
-    for offset, series in enumerate(eval_series):
-        idx = len(train_series) + offset
-        data = processed[idx]
+    mse_list, dtw_list, predictions = [], [], []
+    for data in held_out:
         start = data.shape[0] - eval_steps
         pred = sliding_forecast(params, model_config, data, start, eval_steps)
         truth = data[start:]
         mse_list.append(float(np.mean((pred - truth) ** 2)))
         dtw_list.append(dtw_multivariate(pred, truth, radius=None))
-        traces.append(
-            {
-                "series_index": idx,
-                "start": start,
-                "truth": data[:, 0].copy(),
-                "prediction": pred[:, 0].copy(),
-            }
-        )
+        predictions.append(pred)
     arm = AblationArm(
         use_ar_shortcut=model_config.use_ar_shortcut,
         mse_per_series=mse_list,
         dtw_per_series=dtw_list,
     )
-    return arm, traces
+    return arm, predictions
 
 
 def ablation_run(
@@ -203,42 +183,46 @@ def ablation_run(
     model_config: ForecasterConfig | None = None,
     train_config: TrainConfig | None = None,
     eval_steps: int = 20,
-    holdout_fraction: float = 0.2,
-    stride: int = 2,
 ) -> AblationResult:
     """Train two models identical except for the shortcut flag and compare
-    held-out sliding multi-step error."""
+    held-out sliding multi-step error.
+
+    The corpus is preprocessed, split and windowed once; both arms train
+    on the same window list and are scored on the same held-out arrays.
+    """
     spec = spec or SynthSpec()
     model_config = model_config or default_ablation_model_config(seed=spec.seed)
     train_config = train_config or default_ablation_train_config(seed=spec.seed)
     corpus = generate(spec)
+    n_train = len(corpus) - max(1, int(round(HOLDOUT_FRACTION * len(corpus))))
+    if n_train < 1:
+        raise ValueError("holdout fraction leaves no training series")
 
-    arm_on, traces_on = evaluate_arm(
-        corpus,
-        replace(model_config, use_ar_shortcut=True),
-        train_config,
-        eval_steps=eval_steps,
-        holdout_fraction=holdout_fraction,
-        stride=stride,
+    windows: list[ForecastWindow] = []
+    held_out: list[np.ndarray] = []
+    for idx, series in enumerate(corpus):
+        frame, _ = preprocess_frame(SeriesFrame(["y"], series.values[:, None]))
+        if idx < n_train:
+            windows.extend(build_windows(frame, model_config.T, model_config.L, WINDOW_STRIDE))
+        else:
+            held_out.append(frame.data)
+
+    arm_on, preds_on = evaluate_arm(
+        windows, held_out, replace(model_config, use_ar_shortcut=True), train_config, eval_steps
     )
-    arm_off, traces_off = evaluate_arm(
-        corpus,
-        replace(model_config, use_ar_shortcut=False),
-        train_config,
-        eval_steps=eval_steps,
-        holdout_fraction=holdout_fraction,
-        stride=stride,
+    arm_off, preds_off = evaluate_arm(
+        windows, held_out, replace(model_config, use_ar_shortcut=False), train_config, eval_steps
     )
 
     traces = []
-    for on, off in zip(traces_on, traces_off):
+    for offset, (data, on, off) in enumerate(zip(held_out, preds_on, preds_off)):
         traces.append(
             {
-                "series_index": on["series_index"],
-                "start": on["start"],
-                "truth": on["truth"],
-                "with_shortcut": on["prediction"],
-                "without_shortcut": off["prediction"],
+                "series_index": n_train + offset,
+                "start": data.shape[0] - eval_steps,
+                "truth": data[:, 0].copy(),
+                "with_shortcut": on[:, 0].copy(),
+                "without_shortcut": off[:, 0].copy(),
             }
         )
     return AblationResult(

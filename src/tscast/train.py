@@ -196,7 +196,7 @@ def train_model(
 
     history: list[dict] = []
     best_val = np.inf
-    best_params = params.copy()
+    best_values = [p.values.copy() for p in opt_params]
     stale = 0
 
     for epoch in range(train_config.epochs):
@@ -222,13 +222,15 @@ def train_model(
         )
         if val_mse < best_val:
             best_val = val_mse
-            best_params = params.copy()
+            best_values = [p.values.copy() for p in opt_params]
             stale = 0
         else:
             stale += 1
             if stale >= train_config.patience:
                 break
-    return best_params, history
+    for p, values in zip(opt_params, best_values):
+        p.values = values
+    return params, history
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tscast.cli import CliError, ingest_csv, run, write_frame_csv
+from tscast.cli import CliError, build_parser, ingest_csv, run, write_frame_csv
 from tscast.preprocess import SeriesFrame
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SHARED_INPUT_FLAGS = {"--delimiter", "--no-header", "--timestamp-col"}  # described once in the README
 
 
 def _write_series_csv(path, rng_seed=0, length=48, v=1):
@@ -207,6 +214,35 @@ def test_synth_ablate_rejects_no_ar_shortcut_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--no-ar-shortcut" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """The README's CLI code block split into {subcommand: its lines}."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    sections: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("tscast "):
+            name = line.split()[1]
+            sections[name] = ""
+        if sections:
+            sections[name] += line + "\n"
+    return sections
+
+
+def test_readme_mentions_every_cli_option():
+    readme = README.read_text()
+    synopsis = _readme_synopsis()
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = []
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help"):
+                    continue
+                text = readme if option in SHARED_INPUT_FLAGS else synopsis.get(name, "")
+                if not re.search(re.escape(option) + r"(?![\w-])", text):
+                    missing.append(f"{name} {option}")
+    assert missing == []
 
 
 def test_manifest_references_inputs_with_digests(tmp_path):

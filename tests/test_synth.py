@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tscast import synth
 from tscast.model import ForecasterConfig
+from tscast.preprocess import SeriesFrame, build_windows, preprocess_frame
 from tscast.synth import (
     SynthSpec,
     ablation_run,
@@ -9,7 +13,7 @@ from tscast.synth import (
     evaluate_arm,
     generate,
 )
-from tscast.train import TrainConfig
+from tscast.train import TrainConfig, train_model
 
 FAST_MODEL = ForecasterConfig(v=1, T=16, L=4, n_filters=2, kernel_size=3, gru_hidden=3, seed=0)
 FAST_TRAIN = TrainConfig(epochs=2, batch_size=64, seed=0)
@@ -83,14 +87,66 @@ def test_corpus_to_frame():
 # ablation harness
 
 
+def _prepared(corpus, n_train):
+    frames = [preprocess_frame(SeriesFrame(["y"], s.values[:, None]))[0] for s in corpus]
+    windows = [
+        w for f in frames[:n_train] for w in build_windows(f, FAST_MODEL.T, FAST_MODEL.L, synth.WINDOW_STRIDE)
+    ]
+    return windows, [f.data for f in frames[n_train:]]
+
+
 def test_evaluate_arm_control_identical_runs():
-    corpus = generate(SMALL_SPEC)
-    a, traces_a = evaluate_arm(corpus, FAST_MODEL, FAST_TRAIN, eval_steps=8)
-    b, traces_b = evaluate_arm(corpus, FAST_MODEL, FAST_TRAIN, eval_steps=8)
+    windows, held_out = _prepared(generate(SMALL_SPEC), n_train=6)
+    a, preds_a = evaluate_arm(windows, held_out, FAST_MODEL, FAST_TRAIN, eval_steps=8)
+    b, preds_b = evaluate_arm(windows, held_out, FAST_MODEL, FAST_TRAIN, eval_steps=8)
     assert a.mse_per_series == b.mse_per_series
     assert a.dtw_per_series == b.dtw_per_series
-    for ta, tb in zip(traces_a, traces_b):
-        assert np.array_equal(ta["prediction"], tb["prediction"])
+    assert len(preds_a) == len(held_out)
+    for pa, pb in zip(preds_a, preds_b):
+        assert pa.shape == (8, 1)
+        assert np.array_equal(pa, pb)
+
+
+def test_ablation_prepares_the_corpus_once(monkeypatch):
+    calls = {"preprocess": 0, "build_windows": 0}
+    windows_seen = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recording_train_model(windows, model_config, train_config):
+        windows_seen.append(windows)
+        return train_model(windows, model_config, train_config)
+
+    monkeypatch.setattr(synth, "preprocess_frame", counting("preprocess", synth.preprocess_frame))
+    monkeypatch.setattr(synth, "build_windows", counting("build_windows", synth.build_windows))
+    monkeypatch.setattr(synth, "train_model", recording_train_model)
+    ablation_run(SMALL_SPEC, FAST_MODEL, replace(FAST_TRAIN, epochs=1), eval_steps=8)
+
+    n_holdout = max(1, round(0.2 * SMALL_SPEC.n_series))
+    assert calls == {"preprocess": SMALL_SPEC.n_series, "build_windows": SMALL_SPEC.n_series - n_holdout}
+    assert len(windows_seen) == 2
+    assert windows_seen[0] is windows_seen[1]
+
+
+def test_ablation_traces_pair_the_arms():
+    spec = SynthSpec(n_series=6, length=40, seed=2)
+    result = ablation_run(spec, FAST_MODEL, replace(FAST_TRAIN, epochs=1), eval_steps=8)
+    windows, held_out = _prepared(generate(spec), n_train=5)
+    arm_on, preds_on = evaluate_arm(windows, held_out, FAST_MODEL, replace(FAST_TRAIN, epochs=1), eval_steps=8)
+    assert arm_on.mse_per_series == result.with_shortcut.mse_per_series
+    assert [t["series_index"] for t in result.traces] == [5]
+    assert np.array_equal(result.traces[0]["truth"], held_out[0][:, 0])
+    assert np.array_equal(result.traces[0]["with_shortcut"], preds_on[0][:, 0])
+
+
+def test_ablation_rejects_a_corpus_with_no_training_series():
+    with pytest.raises(ValueError, match="no training series"):
+        ablation_run(SynthSpec(n_series=1, length=40), FAST_MODEL, FAST_TRAIN, eval_steps=8)
 
 
 def test_ablation_run_structure():

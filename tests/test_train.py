@@ -156,7 +156,8 @@ def test_early_stopping_returns_best_validation_params():
     data = np.sin(np.arange(120.0) / 5.0) + 0.05 * rng.normal(size=120)
     windows = build_windows(SeriesFrame(["y"], data[:, None]), T=8, L=1)
     config = ForecasterConfig(v=1, T=8, L=1, seed=5, **TINY_MODEL)
-    params, history = train_model(windows, config, TrainConfig(epochs=30, patience=3, seed=5))
+    params, history = train_model(windows, config, TrainConfig(learning_rate=1e-2, epochs=30, patience=3, seed=5))
+    assert len(history) < 30  # stopped early, so the best epoch's values were restored
     best_recorded = min(h["val_mse"] for h in history)
 
     n_val = max(1, int(round(0.1 * len(windows))))
@@ -165,6 +166,7 @@ def test_early_stopping_returns_best_validation_params():
     targets = np.stack([w.target for w in val_windows])
     returned_val = float(np.mean((preds - targets) ** 2))
     assert returned_val <= best_recorded + 1e-12
+    assert returned_val < history[-1]["val_mse"]
 
 
 def test_best_so_far_training_loss_is_monotone_in_epochs():
