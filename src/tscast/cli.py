@@ -475,7 +475,6 @@ def _add_model_args(p):
     p.add_argument("--config", help="JSON config file with model/train sections")
     p.add_argument("--seed", type=int, help="seed for init and batch order")
     p.add_argument("--window", type=int, help="input window length T (multiple of 4)")
-    p.add_argument("--horizon", type=int, help="forecast horizon L")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--no-ar-shortcut", action="store_true", help="disable the linear shortcut")
     p.add_argument("--stride", type=int, default=1, help="window construction stride")
@@ -495,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and save a checkpoint")
     _add_io_args(p)
     _add_model_args(p)
+    p.add_argument("--horizon", type=int, help="forecast horizon L")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=_cmd_train)
 
@@ -504,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=_cmd_evaluate)
 
-    p = sub.add_parser("crossval", help="k-fold cross-validated metrics")
+    # no abbreviations, or --horizon would be read as --horizons
+    p = sub.add_parser("crossval", help="k-fold cross-validated metrics", allow_abbrev=False)
     _add_io_args(p)
     _add_model_args(p)
     p.add_argument("--folds", type=int, default=5)

@@ -109,13 +109,16 @@ def adam_step(
 ) -> tuple[list[Tensor], AdamState]:
     """One bias-corrected Adam update, in place on the parameter tensors.
 
-    A non-finite gradient aborts the step before any parameter is touched.
+    A non-finite gradient aborts the step before any parameter is touched;
+    the error gives the position of the first such parameter in ``params``.
     """
     if len(grads) != len(params) or len(state.m) != len(params):
         raise ValueError("adam_step: params, grads and state are not aligned")
-    for g in grads:
+    for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            raise FloatingPointError("adam_step: non-finite gradient, aborting the update")
+            raise FloatingPointError(
+                f"adam_step: non-finite gradient for parameter {i} of {len(params)}, aborting the update"
+            )
 
     state.step += 1
     t = state.step
@@ -212,7 +215,14 @@ def train_model(
                     raise FloatingPointError(f"training diverged at epoch {epoch}")
                 backward(loss)
             grads = [p.grad for p in opt_params]
-            adam_step(opt_params, grads, state, train_config)
+            try:
+                adam_step(opt_params, grads, state, train_config)
+            except FloatingPointError as err:
+                named = zip(params.named_parameters(), grads)
+                bad = [name for (name, _), g in named if not np.all(np.isfinite(g))]
+                raise FloatingPointError(
+                    f"training: non-finite gradient for {', '.join(bad)} at epoch {epoch}"
+                ) from err
             params.zero_grad()
             epoch_loss += loss_value * len(batch)
 

@@ -216,6 +216,17 @@ def test_synth_ablate_rejects_no_ar_shortcut_flag(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_crossval_rejects_horizon_flag(tmp_path, capsys):
+    # cross_validate sets the horizon per pass (1, then each --horizons value)
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    with pytest.raises(SystemExit) as exc:
+        run(["crossval", "--input", str(data), "--horizon", "3", "--out-dir", str(tmp_path / "cv")])
+    assert exc.value.code == 2
+    assert "--horizon" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
 def _readme_synopsis() -> dict[str, str]:
     """The README's CLI code block split into {subcommand: its lines}."""
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]

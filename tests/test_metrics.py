@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscast.metrics import (
+    _expand_window,
+    _halve,
     dtw_bruteforce,
     dtw_exact,
     dtw_exact_path,
@@ -13,6 +16,74 @@ from tscast.metrics import (
     fastdtw,
     mae_metric,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference DP: one cell at a time over an explicit list of window cells.
+# The wavefront kernel must reproduce its costs and paths bit for bit.
+
+
+def _ref_dtw_window(a, b, window):
+    inf = float("inf")
+    acc, parent = {}, {}
+    for i, j in window:
+        local = abs(a[i] - b[j])
+        if i == 0 and j == 0:
+            acc[(i, j)] = local
+            parent[(i, j)] = None
+            continue
+        best, step = inf, None
+        for prev in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
+            c = acc.get(prev, inf)
+            if c < best:
+                best, step = c, prev
+        if step is None:
+            continue
+        acc[(i, j)] = local + best
+        parent[(i, j)] = step
+    end = (a.size - 1, b.size - 1)
+    path, cell = [], end
+    while cell is not None:
+        path.append(cell)
+        cell = parent[cell]
+    return acc[end], path[::-1]
+
+
+def _ref_expand_window(coarse_path, n, m, radius):
+    inflated = {
+        (i + di, j + dj)
+        for i, j in coarse_path
+        for di in range(-radius, radius + 1)
+        for dj in range(-radius, radius + 1)
+    }
+    cells = {
+        (fi, fj)
+        for i, j in inflated
+        for fi, fj in ((2 * i, 2 * j), (2 * i, 2 * j + 1), (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1))
+        if 0 <= fi < n and 0 <= fj < m
+    }
+    return sorted(cells)
+
+
+def _ref_full(a, b):
+    return _ref_dtw_window(a, b, [(i, j) for i in range(a.size) for j in range(b.size)])
+
+
+def _ref_fastdtw(a, b, radius):
+    if a.size <= radius + 2 or b.size <= radius + 2:
+        return _ref_full(a, b)
+    _, coarse_path = _ref_fastdtw(_halve(a), _halve(b), radius)
+    return _ref_dtw_window(a, b, _ref_expand_window(coarse_path, a.size, b.size, radius))
+
+
+def _tied_pairs(seed, count):
+    """Random pairs of lengths 1-40, rounded so that equal-cost
+    predecessors (ties) are common."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = rng.integers(1, 41, size=2)
+        digits = int(rng.integers(0, 3))
+        yield np.round(rng.normal(size=n) * 2, digits), np.round(rng.normal(size=m) * 2, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +153,60 @@ def test_dtw_path_invariants():
         for (i0, j0), (i1, j1) in zip(path, path[1:]):
             assert (i1 - i0, j1 - j0) in {(1, 0), (0, 1), (1, 1)}
         assert cost >= 0.0
+
+
+def test_dtw_exact_equals_reference_bit_for_bit():
+    for a, b in _tied_pairs(11, 150):
+        ref_cost, ref_path = _ref_full(a, b)
+        cost, path = dtw_exact_path(a, b)
+        assert cost == ref_cost
+        assert path == ref_path
+        assert dtw_exact(a, b) == ref_cost
+
+
+def test_fastdtw_equals_reference_bit_for_bit():
+    for a, b in _tied_pairs(12, 150):
+        for radius in (0, 1, 2, max(a.size, b.size)):
+            assert fastdtw(a, b, radius) == _ref_fastdtw(a, b, radius)[0]
+
+
+def test_expand_window_covers_the_reference_cells():
+    for a, b in _tied_pairs(13, 60):
+        _, coarse_path = dtw_exact_path(_halve(a), _halve(b))
+        for radius in (0, 1, 2):
+            lo, hi = _expand_window(coarse_path, a.size, b.size, radius)
+            cells = [(i, j) for i in range(a.size) for j in range(lo[i], hi[i] + 1)]
+            assert cells == _ref_expand_window(coarse_path, a.size, b.size, radius)
+
+
+def test_fastdtw_memory_is_linear():
+    rng = np.random.default_rng(14)
+    a, b = np.cumsum(rng.normal(size=(2, 4000)), axis=1)
+    tracemalloc.start()
+    try:
+        cost = fastdtw(a, b, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(cost)
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("fn", [dtw_exact, lambda a, b: fastdtw(a, b, 1)], ids=["dtw_exact", "fastdtw"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dtw_rejects_non_finite_input(fn, bad):
+    clean = np.linspace(0.0, 1.0, 12)
+    dirty = clean.copy()
+    dirty[5] = bad
+    with pytest.raises(ValueError, match=r"^a holds 1 non-finite value\(s\); the first is .* at index 5$"):
+        fn(dirty, clean)
+    with pytest.raises(ValueError, match=r"^b holds"):
+        fn(clean, dirty)
+
+
+def test_dtw_reports_overflow():
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        dtw_exact([1e308, -1e308], [-1e308, 1e308])
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +336,19 @@ def test_multivariate_sums_per_variable():
     total = dtw_multivariate(p, t)
     parts = sum(dtw_exact(p[:, j], t[:, j]) for j in range(3))
     assert total == pytest.approx(parts, abs=1e-12)
+
+
+def test_multivariate_rejects_no_variables():
+    with pytest.raises(ValueError, match="no variables"):
+        dtw_multivariate(np.zeros((5, 0)), np.zeros((5, 0)))
+
+
+def test_multivariate_names_the_non_finite_block():
+    p = np.zeros((6, 2))
+    t = np.ones((6, 2))
+    t[4, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^target holds 1 non-finite value\(s\); the first is nan at index \(4, 1\)$"):
+        dtw_multivariate(p, t, radius=1)
 
 
 def test_multivariate_univariate_input():

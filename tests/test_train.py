@@ -111,8 +111,40 @@ def test_adam_rejects_nonfinite_gradient():
     assert state.step == 0
 
 
+def test_adam_error_gives_the_parameter_position():
+    params = _toy_params([[1.0], [2.0], [3.0]])
+    state = AdamState.for_params(params)
+    with pytest.raises(FloatingPointError, match="parameter 1 of 3"):
+        adam_step(params, [np.zeros(1), np.array([np.inf]), np.zeros(1)], state, TrainConfig())
+
+
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def test_train_model_names_the_non_finite_gradient(monkeypatch):
+    import tscast.train as train_module
+
+    created = []
+    real_init, real_backward = train_module.init_forecaster, train_module.backward
+    calls = []
+
+    def init(config):
+        created.append(real_init(config))
+        return created[-1]
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        calls.append(None)
+        if len(calls) == 3:  # the first step of the second epoch
+            created[0].half.gru.u_r.grad[0, 1] = np.nan
+
+    monkeypatch.setattr(train_module, "init_forecaster", init)
+    monkeypatch.setattr(train_module, "backward", poisoned_backward)
+    windows = build_windows(_affine_frame(length=40), T=8, L=1)  # 29 train windows: 2 steps an epoch
+    config = ForecasterConfig(v=1, T=8, L=1, seed=0, **TINY_MODEL)
+    with pytest.raises(FloatingPointError, match=r"^training: non-finite gradient for half\.gru\.u_r at epoch 1$"):
+        train_model(windows, config, TrainConfig(epochs=3, batch_size=16))
 
 
 def test_train_zero_epochs_returns_initial_params():
