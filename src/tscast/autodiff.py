@@ -1,16 +1,18 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Operations executed inside a ``with Tape():`` block are recorded in
-execution order; :func:`backward` replays the records once, in reverse,
-and accumulates gradients into every recorded tensor that requires them.
-Outside a tape block the same functions run as plain numpy computations,
-which makes inference on frozen parameters free of bookkeeping.
+execution order, each as a triple ``(output, inputs, grad_fn)``, and the
+output's ``node`` is a weak reference to the tape. :func:`backward` sweeps
+the records once, in reverse, and accumulates gradients into every
+recorded tensor that requires them. Outside a tape block the same
+functions run as plain numpy computations and ``node`` stays None, which
+makes inference on frozen parameters free of bookkeeping.
 
 The operation set is deliberately small:
 
-- elementwise add / sub / mul and the broadcast bias adds add_rowvec /
-  add_colvec;
-- matmul, and causal_conv1d computed as one GEMM per kernel tap;
+- elementwise add / sub / mul, which broadcast like numpy;
+- matmul, where a vector is a one-row or one-column matrix, and
+  causal_conv1d computed as one GEMM per kernel tap;
 - gru_sequence, a whole GRU recurrence as one record with a hand-written
   backpropagation through time;
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid is branched
@@ -35,8 +37,6 @@ __all__ = [
     "DimensionError",
     "Tape",
     "Tensor",
-    "add_colvec",
-    "add_rowvec",
     "backward",
     "causal_conv1d",
     "concat",
@@ -71,17 +71,20 @@ def _tape_stack() -> list:
 
 
 class Tape:
-    """Ordered record of one forward pass, replayed once by backward().
+    """Ordered record of one forward pass, swept once by backward().
 
-    A tape is single-writer: one forward/backward pass at a time. Separate
-    tapes are independent, so e.g. cross-validation folds may run in
-    parallel threads, each under its own tape. Recorded tensors refer to
-    their tape only weakly, so call backward while the tape is alive,
-    inside its ``with`` block.
+    Each record is a triple ``(output, inputs, grad_fn)``: the produced
+    tensor, the operand tensors, and the rule mapping the output's gradient
+    to one gradient (or None) per input. A tape is single-writer: one
+    forward/backward pass at a time. Separate tapes are independent, so
+    e.g. cross-validation folds may run in parallel threads, each under its
+    own tape. Recorded tensors refer to their tape only weakly, so call
+    backward while the tape is alive, inside its ``with`` block; a finished
+    tape is freed by reference counting as soon as the caller drops it.
     """
 
     def __init__(self):
-        self._records = []  # (output Tensor, Node) in execution order
+        self._records = []  # (output, inputs, grad_fn) in execution order
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -99,27 +102,14 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-class Node:
-    """Producing operation of a recorded tensor: inputs plus gradient rule."""
-
-    __slots__ = ("inputs", "grad_fn", "tape", "index")
-
-    def __init__(self, inputs, grad_fn, tape, index):
-        self.inputs = inputs
-        self.grad_fn = grad_fn  # maps output grad -> per-input grads (or None)
-        # weak, so a finished tape and its records are freed by reference
-        # counting as soon as the caller drops it, not by the cyclic collector
-        self.tape = weakref.ref(tape)
-        self.index = index
-
-
 class Tensor:
     """A dense float64 array with an optional gradient slot.
 
-    Tensors made directly (parameters, data) are leaves; tensors returned
-    by operations under an active tape carry a ``node`` back-reference to
-    the record that produced them. Tensors without a node are immutable by
-    convention and safe to share across threads.
+    Tensors made directly (parameters, data) are leaves with ``node``
+    None. A tensor returned by an operation under an active tape has as
+    ``node`` a weak reference to that tape, so records and tensors form no
+    cycle. Tensors without a node are immutable by convention and safe to
+    share across threads.
     """
 
     __slots__ = ("values", "grad", "node", "requires_grad")
@@ -130,7 +120,7 @@ class Tensor:
             v = np.ascontiguousarray(v)  # row-major storage; keeps 0-d scalars 0-d
         self.values = v
         self.grad: np.ndarray | None = None
-        self.node: Node | None = None
+        self.node: weakref.ref | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -196,9 +186,8 @@ def _record(out: Tensor, inputs: tuple, grad_fn) -> Tensor:
     tape = active_tape()
     if tape is None or not any(_live(t) for t in inputs):
         return out
-    node = Node(inputs, grad_fn, tape, len(tape._records))
-    out.node = node
-    tape._records.append((out, node))
+    out.node = weakref.ref(tape)
+    tape._records.append((out, inputs, grad_fn))
     return out
 
 
@@ -206,10 +195,26 @@ def _record(out: Tensor, inputs: tuple, grad_fn) -> Tensor:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
+def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return a, b
+
+
+def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient over the axes along which its operand was broadcast."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    return np.sum(g, axis=axes, keepdims=True).reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    a, b = _operands("add", a, b)
     out = Tensor(a.values + b.values)
 
     def grad_fn(g, needs):
@@ -221,9 +226,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} differ")
+    a, b = _operands("sub", a, b)
     out = Tensor(a.values - b.values)
 
     def grad_fn(g, needs):
@@ -235,9 +238,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
+    a, b = _operands("mul", a, b)
     out = Tensor(a.values * b.values)
 
     def grad_fn(g, needs):
@@ -248,86 +249,29 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to a (possibly scalar-broadcast) operand shape."""
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape) if shape == () else np.full(shape, np.sum(g))
-
-
-def add_rowvec(x, b) -> Tensor:
-    """Add a length-n vector to every row of an (m, n) matrix."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.values.ndim != 2 or b.values.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise DimensionError(f"add_rowvec: shapes {x.shape} and {b.shape}")
-    out = Tensor(x.values + b.values[None, :])
-
-    def grad_fn(g, needs):
-        gx = g if needs[0] else None
-        gb = g.sum(axis=0) if needs[1] else None
-        return gx, gb
-
-    return _record(out, (x, b), grad_fn)
-
-
-def add_colvec(x, b) -> Tensor:
-    """Add a length-m vector to every column of an (m, n) matrix."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if x.values.ndim != 2 or b.values.ndim != 1 or x.shape[0] != b.shape[0]:
-        raise DimensionError(f"add_colvec: shapes {x.shape} and {b.shape}")
-    out = Tensor(x.values + b.values[:, None])
-
-    def grad_fn(g, needs):
-        gx = g if needs[0] else None
-        gb = g.sum(axis=1) if needs[1] else None
-        return gx, gb
-
-    return _record(out, (x, b), grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear maps
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; also matrix @ vector and vector @ matrix."""
+    """Matrix product of operands of rank 1 or 2.
+
+    A vector on the left is a one-row matrix and a vector on the right a
+    one-column matrix; both gradients are computed on these 2-D views.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
-    if av.ndim == 2 and bv.ndim == 2:
-        if av.shape[1] != bv.shape[0]:
-            raise DimensionError(f"matmul: inner dims of {av.shape} and {bv.shape} disagree")
+    if av.ndim not in (1, 2) or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]:
+        raise DimensionError(f"matmul: cannot multiply {av.shape} @ {bv.shape}")
+    out = Tensor(av @ bv)
+    a2 = av if av.ndim == 2 else av[None, :]
+    b2 = bv if bv.ndim == 2 else bv[:, None]
 
-        out = Tensor(av @ bv)
-
-        def grad_fn(g, needs):
-            ga = g @ bv.T if needs[0] else None
-            gb = av.T @ g if needs[1] else None
-            return ga, gb
-
-    elif av.ndim == 2 and bv.ndim == 1:
-        if av.shape[1] != bv.shape[0]:
-            raise DimensionError(f"matmul: inner dims of {av.shape} and {bv.shape} disagree")
-
-        out = Tensor(av @ bv)
-
-        def grad_fn(g, needs):
-            ga = np.outer(g, bv) if needs[0] else None
-            gb = av.T @ g if needs[1] else None
-            return ga, gb
-
-    elif av.ndim == 1 and bv.ndim == 2:
-        if av.shape[0] != bv.shape[0]:
-            raise DimensionError(f"matmul: inner dims of {av.shape} and {bv.shape} disagree")
-
-        out = Tensor(av @ bv)
-
-        def grad_fn(g, needs):
-            ga = bv @ g if needs[0] else None
-            gb = np.outer(av, g) if needs[1] else None
-            return ga, gb
-
-    else:
-        raise DimensionError(f"matmul: unsupported ranks {av.shape} @ {bv.shape}")
+    def grad_fn(g, needs):
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
+        ga = (g2 @ b2.T).reshape(av.shape) if needs[0] else None
+        gb = (a2.T @ g2).reshape(bv.shape) if needs[1] else None
+        return ga, gb
 
     return _record(out, (a, b), grad_fn)
 
@@ -662,7 +606,7 @@ def backward(loss: Tensor) -> None:
     if loss.node is None:
         raise ValueError("backward: loss is not connected to a tape")
 
-    tape = loss.node.tape()
+    tape = loss.node()
     if tape is None:
         raise ValueError(
             "backward: the tape that recorded the loss is gone; call backward "
@@ -671,18 +615,15 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     touched: list[Tensor] = []
 
-    for out, node in reversed(tape._records[: loss.node.index + 1]):
+    # Records made after the loss get no gradient, so they only mark their
+    # parameters for a zero gradient.
+    for out, inputs, grad_fn in reversed(tape._records):
+        touched.extend(t for t in inputs if t.requires_grad)
         g = grads.get(id(out))
-        if out.requires_grad:
-            touched.append(out)
-        for t in node.inputs:
-            if t.requires_grad:
-                touched.append(t)
         if g is None:
             continue
-        needs = tuple(_live(t) for t in node.inputs)
-        in_grads = node.grad_fn(g, needs)
-        for t, gi in zip(node.inputs, in_grads):
+        in_grads = grad_fn(g, tuple(_live(t) for t in inputs))
+        for t, gi in zip(inputs, in_grads):
             if gi is None:
                 continue
             key = id(t)
@@ -690,12 +631,6 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
-
-    # also cover parameters recorded after the loss position on this tape
-    for out, node in tape._records[loss.node.index + 1 :]:
-        for t in node.inputs:
-            if t.requires_grad:
-                touched.append(t)
 
     for t in touched:
         t.grad = grads.get(id(t), np.zeros(t.shape))

@@ -119,9 +119,9 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
         raise CliError(f"{path}: {err}") from None
 
 
-def write_frame_csv(path, frame: SeriesFrame, delimiter: str = ",") -> None:
+def write_frame_csv(path, frame: SeriesFrame) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(frame.names)
         for row in frame.data:
             writer.writerow([repr(float(x)) for x in row])
@@ -324,6 +324,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
+    if "L" in _load_config_file(args.config).get("model", {}):
+        # cross_validate sets L itself: 1, then each of --horizons
+        raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
     out = _out_dir(args)
@@ -545,10 +548,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, FloatingPointError) as err:
+    except (CliError, ValueError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -253,9 +253,7 @@ def conv_features(x, stream: StreamParams) -> Tensor:
 
 def _affine_gate(w: Tensor, x: Tensor, u: Tensor, h: Tensor, b: Tensor) -> Tensor:
     s = ad.matmul(w, x) + ad.matmul(u, h)
-    if s.values.ndim == 1:
-        return s + b
-    return ad.add_colvec(s, b)
+    return s + (b if s.values.ndim == 1 else ad.reshape(b, (-1, 1)))  # bias per row
 
 
 def gru_step(h, x, gru: GruParams) -> Tensor:
@@ -296,26 +294,20 @@ def gru_encode(g_seq, gru: GruParams) -> Tensor:
     )
 
 
-def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, t: int | None, heads: list[HeadParams]) -> Tensor:
-    """Affine map of [h, h', h''] through output step t's own head; t is 1-based.
+def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, heads: list[HeadParams]) -> Tensor:
+    """Affine map of [h, h', h''] through each output step's own head.
 
-    The states are (H,), giving (v,), or (H, B) batched, giving (B, v).
-    ``t=None`` applies every head in turn and stacks the steps, giving
-    (L, v) or (L, B, v). The states are concatenated once for all steps.
+    The states are (H,), giving (L, v), or (H, B) batched, giving
+    (L, B, v); row t - 1 of the result is output step t. The states are
+    concatenated once for all steps.
     """
-    if t is not None and not 1 <= t <= len(heads):
-        raise ValueError(f"output step t={t} outside 1..{len(heads)}")
     cat = ad.concat([h_full, h_half, h_quarter], axis=0)
     batched = cat.values.ndim == 2
     if not batched:
         cat = ad.reshape(cat, (-1, 1))  # a batch of one
     cat_t = ad.transpose(cat)  # (B, 3H)
-    used = heads if t is None else [heads[t - 1]]
-    outs = [ad.add_rowvec(ad.matmul(cat_t, head.w), head.b) for head in used]
-    out = outs[0] if t is not None else ad.stack(outs)  # (B, v) or (L, B, v)
-    if batched:
-        return out
-    return ad.reshape(out, out.shape[:-2] + out.shape[-1:])  # drop the batch axis
+    out = ad.stack([ad.matmul(cat_t, head.w) + head.b for head in heads])  # (L, B, v)
+    return out if batched else ad.reshape(out, (len(heads), -1))  # drop the batch axis
 
 
 def ar_predict(window, shortcut: ShortcutParams, ar_window: int) -> Tensor:
@@ -339,7 +331,7 @@ def ar_predict(window, shortcut: ShortcutParams, ar_window: int) -> Tensor:
         )
     # every (window, variable) pair is one column of trailing values
     recent = constant(windows[:, -ar_window:, :].transpose(1, 0, 2).reshape(ar_window, b * v))
-    flat = ad.add_colvec(ad.matmul(ad.transpose(shortcut.w), recent), shortcut.b)  # (L, B*v)
+    flat = ad.matmul(ad.transpose(shortcut.w), recent) + ad.reshape(shortcut.b, (-1, 1))  # (L, B*v)
     return ad.reshape(flat, (-1, b, v) if batched else (-1, v))
 
 
@@ -380,7 +372,7 @@ def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) 
         x = np.swapaxes(block, 1, 2)  # (B, v, T_r)
         states.append(gru_encode(conv_features(x, stream), stream.gru))  # (H, B)
 
-    out = head_predict(*states, None, params.heads)  # (L, B, v)
+    out = head_predict(*states, params.heads)  # (L, B, v)
     if config.use_ar_shortcut:
         out = out + ar_predict(windows, params.shortcut, config.ar_window)
     return out

@@ -35,7 +35,6 @@ class SeriesFrame:
 
     names: list[str]
     data: np.ndarray
-    norm_stats: "NormStats | None" = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -43,6 +42,8 @@ class SeriesFrame:
             data = data[:, None]
         if data.ndim != 2:
             raise ValueError(f"SeriesFrame data must be 2-d, got shape {data.shape}")
+        if data.shape[0] == 0:
+            raise ValueError("SeriesFrame data has no rows")
         if len(self.names) != data.shape[1]:
             raise ValueError(
                 f"{len(self.names)} variable names for {data.shape[1]} columns"
@@ -107,14 +108,14 @@ def fit_normalizer(frame: SeriesFrame) -> NormStats:
 def apply_normalizer(frame: SeriesFrame, stats: NormStats) -> SeriesFrame:
     _check_arity(frame, stats)
     data = (frame.data - stats.mean) / stats.std
-    return SeriesFrame(list(frame.names), data, norm_stats=stats)
+    return SeriesFrame(list(frame.names), data)
 
 
 def invert_normalizer(frame: SeriesFrame, stats: NormStats) -> SeriesFrame:
     """Exact inverse of apply_normalizer."""
     _check_arity(frame, stats)
     data = frame.data * stats.std + stats.mean
-    return SeriesFrame(list(frame.names), data, norm_stats=None)
+    return SeriesFrame(list(frame.names), data)
 
 
 def _check_arity(frame: SeriesFrame, stats: NormStats) -> None:
@@ -136,24 +137,21 @@ def gaussian_kernel(size: int = 5, std: float = 2.0) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def gaussian_smooth(frame: SeriesFrame, size: int = 5, std: float = 2.0) -> SeriesFrame:
-    """Smooth each variable with a normalized Gaussian kernel.
+def gaussian_smooth(frame: SeriesFrame) -> SeriesFrame:
+    """Smooth each variable with a normalized 5-tap Gaussian of std 2,
+    :func:`gaussian_kernel` at its defaults.
 
     Edges use reflect padding (mirror about the edge sample), so constant
     series pass through unchanged and interior points of affine series are
     preserved by the kernel's symmetry.
     """
-    kernel = gaussian_kernel(size, std)
-    half = (size - 1) // 2
+    kernel = gaussian_kernel()
+    half = kernel.size // 2
     out = np.empty_like(frame.data)
     for j in range(frame.n_variables):
-        col = frame.data[:, j]
-        if half > 0:
-            padded = np.pad(col, half, mode="reflect")
-        else:
-            padded = col
+        padded = np.pad(frame.data[:, j], half, mode="reflect")
         out[:, j] = np.convolve(padded, kernel, mode="valid")
-    return SeriesFrame(list(frame.names), out, norm_stats=frame.norm_stats)
+    return SeriesFrame(list(frame.names), out)
 
 
 def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
@@ -227,9 +225,7 @@ def blocked_kfold(n_windows: int, k: int = 5) -> list[tuple[np.ndarray, np.ndarr
     return folds
 
 
-def preprocess_frame(
-    frame: SeriesFrame, smooth_size: int = 5, smooth_std: float = 2.0
-) -> tuple[SeriesFrame, NormStats]:
+def preprocess_frame(frame: SeriesFrame) -> tuple[SeriesFrame, NormStats]:
     """Standard pipeline: fit per-variable normalization on the full series,
     apply it, then Gaussian-smooth each variable.
 
@@ -238,4 +234,4 @@ def preprocess_frame(
     """
     stats = fit_normalizer(frame)
     normalized = apply_normalizer(frame, stats)
-    return gaussian_smooth(normalized, smooth_size, smooth_std), stats
+    return gaussian_smooth(normalized), stats

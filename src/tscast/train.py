@@ -302,8 +302,8 @@ def sliding_forecast(
 ) -> np.ndarray:
     """Forecast ``total_steps`` values beyond ``start`` by repeatedly
     predicting L steps from the latest T observations and feeding the
-    predictions back in as context. Only values before ``start`` are ever
-    read from the source series.
+    predictions back in as context. Only the T values before ``start``
+    are read from the source series, and they must be finite.
 
     Closed-loop error compounds with every slide, so roll out with a model
     whose horizon L fits the job: a one-step model slid dozens of steps
@@ -312,10 +312,17 @@ def sliding_forecast(
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 1:
         series = series[:, None]
-    if start < config.T:
-        raise ValueError(f"start={start} must be at least the window length T={config.T}")
+    if not config.T <= start <= len(series):
+        raise ValueError(
+            f"start={start} must lie between the window length T={config.T} "
+            f"and the series length {len(series)}"
+        )
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+
+    bad = np.flatnonzero(~np.isfinite(series[start - config.T : start]).all(axis=1))
+    if bad.size:
+        raise ValueError(f"series has a non-finite value at index {start - config.T + bad[0]}, before start={start}")
 
     context = series[:start].copy()
     produced: list[np.ndarray] = []

@@ -357,8 +357,18 @@ def test_grad_arithmetic():
 def test_grad_bias_broadcasts():
     x, rb, cb = _param(4, 3), _param(3), _param(4)
     r = _proj((4, 3))
-    _check_op(lambda: mean_all(ad.add_rowvec(x, rb) * r), [x, rb])
-    _check_op(lambda: mean_all(ad.add_colvec(x, cb) * r), [x, cb])
+    _check_op(lambda: mean_all((x + rb) * r), [x, rb])
+    _check_op(lambda: mean_all((x - ad.reshape(cb, (-1, 1))) * r), [x, cb])
+
+    col, row = _param(3, 1), _param(1, 4)
+    r2 = _proj((3, 4))
+    _check_op(lambda: mean_all((col * row) * r2), [col, row])
+
+
+def test_elementwise_shape_mismatch_names_both_shapes():
+    with pytest.raises(DimensionError) as exc:
+        constant(np.zeros((2, 3))) + constant(np.zeros(4))
+    assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
 
 
 def test_grad_shape_ops():

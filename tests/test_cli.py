@@ -227,6 +227,22 @@ def test_crossval_rejects_horizon_flag(tmp_path, capsys):
     assert not (tmp_path / "cv").exists()
 
 
+def test_crossval_rejects_a_config_horizon(tmp_path, capsys):
+    # a model.L would land in the manifest and change no metric
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"L": 3, "n_filters": 2, "kernel_size": 3, "gru_hidden": 3}, "train": {"epochs": 1}}))
+    code = run(["crossval", "--input", str(data), "--window", "8", "--config", str(config), "--out-dir", str(tmp_path / "cv")])
+    assert code == 1
+    assert "model.L" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+    train_dir = tmp_path / "train"
+    assert run(["train", "--input", str(data), "--window", "8", "--config", str(config), "--out-dir", str(train_dir)]) == 0
+    assert json.loads((train_dir / "manifest.json").read_text())["config"]["model"]["L"] == 3
+
+
 def _readme_synopsis() -> dict[str, str]:
     """The README's CLI code block split into {subcommand: its lines}."""
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]

@@ -269,17 +269,17 @@ def test_head_predict_zero_weights_returns_bias():
     params.heads[0].w.values[...] = 0.0
     params.heads[0].b.values[...] = [1.5, -2.5]
     h = [constant(np.random.default_rng(8).normal(size=4)) for _ in range(3)]
-    out = head_predict(h[0], h[1], h[2], 1, params.heads)
-    assert np.array_equal(out.values, [1.5, -2.5])
+    out = head_predict(h[0], h[1], h[2], params.heads)
+    assert np.array_equal(out.values[0], [1.5, -2.5])
 
 
 def test_head_isolation():
     params = init_forecaster(TINY)
     rng = np.random.default_rng(9)
     h = [constant(rng.normal(size=4)) for _ in range(3)]
-    before = head_predict(h[0], h[1], h[2], 2, params.heads).values.copy()
+    before = head_predict(h[0], h[1], h[2], params.heads).values[1].copy()
     params.heads[0].w.values[...] = rng.normal(size=(12, 2))
-    after = head_predict(h[0], h[1], h[2], 2, params.heads).values
+    after = head_predict(h[0], h[1], h[2], params.heads).values[1]
     assert np.array_equal(before, after)
 
 
@@ -287,22 +287,13 @@ def test_head_permutation_equivariance():
     rng = np.random.default_rng(10)
     params = init_forecaster(TINY)
     h = [constant(rng.normal(size=4)) for _ in range(3)]
-    base = head_predict(h[0], h[1], h[2], 1, params.heads).values.copy()
+    base = head_predict(h[0], h[1], h[2], params.heads).values[0].copy()
 
     w = params.heads[0].w.values
     permuted = np.concatenate([w[4:8], w[0:4], w[8:12]], axis=0)
     swapped = [HeadParams(w=Tensor(permuted, requires_grad=True), b=params.heads[0].b)]
-    out = head_predict(h[1], h[0], h[2], 1, swapped).values
-    assert np.allclose(out, base, atol=1e-14)
-
-
-def test_head_rejects_out_of_range_step():
-    params = init_forecaster(TINY)
-    h = [constant(np.zeros(4)) for _ in range(3)]
-    with pytest.raises(ValueError):
-        head_predict(h[0], h[1], h[2], 3, params.heads)
-    with pytest.raises(ValueError):
-        head_predict(h[0], h[1], h[2], 0, params.heads)
+    out = head_predict(h[1], h[0], h[2], swapped).values
+    assert np.allclose(out[0], base, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +415,13 @@ def test_batched_head_and_ar_equal_per_window_calls():
     _generic_point(params, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     h = rng.normal(size=(3, 4, 6))
-    all_steps = head_predict(h[0], h[1], h[2], None, params.heads).values  # (L, B, v)
+    all_steps = head_predict(h[0], h[1], h[2], params.heads).values  # (L, B, v)
     assert all_steps.shape == (TINY.L, 6, TINY.v)
-    for t in range(1, TINY.L + 1):
-        assert np.array_equal(all_steps[t - 1], head_predict(h[0], h[1], h[2], t, params.heads).values)
-        for i in range(6):
-            single = head_predict(h[0, :, i], h[1, :, i], h[2, :, i], t, params.heads).values
-            one = head_predict(h[0, :, i : i + 1], h[1, :, i : i + 1], h[2, :, i : i + 1], t, params.heads)
-            assert np.array_equal(single, one.values[0])
-            assert np.max(np.abs(all_steps[t - 1, i] - single)) <= 1e-12
+    for i in range(6):
+        single = head_predict(h[0, :, i], h[1, :, i], h[2, :, i], params.heads).values  # (L, v)
+        one = head_predict(h[0, :, i : i + 1], h[1, :, i : i + 1], h[2, :, i : i + 1], params.heads)
+        assert np.array_equal(single, one.values[:, 0])
+        assert np.max(np.abs(all_steps[:, i] - single)) <= 1e-12
 
     windows = rng.normal(size=(6, 8, 2))
     ar = ar_predict(windows, params.shortcut, TINY.ar_window).values  # (L, B, v)

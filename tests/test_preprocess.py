@@ -141,9 +141,9 @@ def test_gaussian_smooth_commutes_with_constant_shift():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
-def test_gaussian_smooth_rejects_even_size():
+def test_gaussian_kernel_rejects_even_size():
     with pytest.raises(ValueError):
-        gaussian_smooth(_frame(np.arange(10.0)), size=4)
+        gaussian_kernel(4, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +262,14 @@ def test_preprocess_frame_pipeline():
     assert processed.data.shape == frame.data.shape
     # means stay near zero: smoothing of a zero-mean series is near zero-mean
     assert np.max(np.abs(processed.data.mean(axis=0))) < 0.2
-    assert processed.norm_stats is stats
+    assert np.array_equal(stats.mean, frame.data.mean(axis=0))
 
 
 def test_series_frame_rejects_nonfinite():
     with pytest.raises(ValueError):
         _frame([1.0, np.nan, 2.0])
+
+
+def test_series_frame_rejects_zero_rows():
+    with pytest.raises(ValueError, match="no rows"):
+        SeriesFrame(["y"], np.zeros((0, 1)))

@@ -314,6 +314,29 @@ def test_sliding_forecast_rejects_short_context():
         sliding_forecast(params, config, np.zeros((30, 1)), start=7, total_steps=3)
 
 
+def test_sliding_forecast_rejects_start_beyond_the_series():
+    config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
+    params = init_forecaster(config)
+    with pytest.raises(ValueError, match="start=40.*series length 30"):
+        sliding_forecast(params, config, np.zeros((30, 1)), start=40, total_steps=3)
+
+
+def test_sliding_forecast_rejects_a_series_shorter_than_the_window():
+    config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
+    params = init_forecaster(config)
+    with pytest.raises(ValueError, match="start=8.*series length 5"):
+        sliding_forecast(params, config, np.zeros((5, 1)), start=8, total_steps=3)
+
+
+def test_sliding_forecast_rejects_a_non_finite_context():
+    config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
+    params = init_forecaster(config)
+    series = np.zeros((30, 1))
+    series[13] = np.nan
+    with pytest.raises(ValueError, match="index 13"):
+        sliding_forecast(params, config, series, start=16, total_steps=3)
+
+
 def test_predict_windows_rejects_empty_input():
     config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
     params = init_forecaster(config)
