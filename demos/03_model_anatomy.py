@@ -23,13 +23,17 @@ print(f"parameters: {params.n_parameters()} (closed form: {count_parameters(conf
 rng = np.random.default_rng(3)
 window = np.cumsum(rng.normal(size=(16, 2)), axis=0)
 
-# One window becomes three series: full, half and quarter resolution.
-s, s_half, s_quarter = multiscale_inputs(window)
+# Every piece below forecast takes a leading batch axis; here the batch
+# holds one window. It becomes three series: full, half and quarter
+# resolution, each (B, T_r, v).
+batch = window[None]
+s, s_half, s_quarter = multiscale_inputs(batch)
 print("resolutions:", s.shape, s_half.shape, s_quarter.shape)
 
-# Each resolution runs its own conv stack (two causal layers + relu) and
-# its own GRU; the heads read the concatenated final hidden states.
-features = conv_features(s.T, params.full)
+# Each resolution runs its own conv stack (two causal layers + relu) on
+# channel-major (B, v, T_r) input and its own GRU, which returns one
+# (B, H) row of state per window; the heads read the concatenated states.
+features = conv_features(s.transpose(0, 2, 1), params.full)
 print("full-resolution features:", features.shape)
 h = gru_encode(features, params.full.gru)
 print("encoded state:", h.shape)
@@ -43,7 +47,7 @@ for head in params.heads:
     head.w.values[...] = 0.0
     head.b.values[...] = 0.0
 only_shortcut = forecast(window, params, config).values
-shortcut_alone = ar_predict(window, params.shortcut, config.ar_window).values
+shortcut_alone = ar_predict(batch, params.shortcut, config.ar_window).values[:, 0]
 print("heads zeroed -> forecast equals the shortcut:",
       bool(np.array_equal(only_shortcut, shortcut_alone)))
 

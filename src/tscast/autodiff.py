@@ -13,8 +13,9 @@ The operation set is deliberately small:
 - elementwise add / sub / mul, which broadcast like numpy;
 - matmul, where a vector is a one-row or one-column matrix, and
   causal_conv1d computed as one GEMM per kernel tap;
-- gru_sequence, a whole GRU recurrence as one record with a hand-written
-  backpropagation through time;
+- gru_sequence, a whole GRU recurrence over a (B, C, T) batch as one
+  record with a hand-written backpropagation through time, returning the
+  batch-major (B, H) final state;
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid is branched
   on the sign, so it never overflows);
 - the shape and reduction helpers concat, stack, transpose, reshape and
@@ -362,10 +363,10 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def gru_sequence(x, w, u, b) -> Tensor:
     """Run a GRU over a whole sequence from a zero state, as one tape record.
 
-    ``x`` is (B, C, T), or (C, T) as a batch of one. ``w``, ``u`` and ``b``
-    are the (z, r, h) triples of input weights (H, C), recurrent weights
-    (H, H) and biases (H,). Returns the final hidden state as (H, B), or
-    (H,) for an unbatched input. Each step, from h = 0:
+    ``x`` is (B, C, T). ``w``, ``u`` and ``b`` are the (z, r, h) triples of
+    input weights (H, C), recurrent weights (H, H) and biases (H,). Returns
+    the final hidden state as (B, H), one row per sequence. Each step, from
+    h = 0:
 
         z = sigmoid(W_z x_t + U_z h + b_z)
         r = sigmoid(W_r x_t + U_r h + b_r)
@@ -383,11 +384,9 @@ def gru_sequence(x, w, u, b) -> Tensor:
         raise DimensionError("gru_sequence: w, u and b must each hold the (z, r, h) gates")
     w, u, b = gates
     xv = x.values
-    if xv.ndim not in (2, 3):
-        raise DimensionError(f"gru_sequence: expected (C, T) or (B, C, T), got {xv.shape}")
-    batched = xv.ndim == 3
-    xb = xv if batched else xv[None]
-    n, c_in, t_len = xb.shape
+    if xv.ndim != 3:
+        raise DimensionError(f"gru_sequence: expected input (B, C, T), got {xv.shape}")
+    n, c_in, t_len = xv.shape
     hidden = u[0].shape[0]
     for name, triple, shape in (("w", w, (hidden, c_in)), ("u", u, (hidden, hidden)), ("b", b, (hidden,))):
         if any(t.shape != shape for t in triple):
@@ -401,7 +400,7 @@ def gru_sequence(x, w, u, b) -> Tensor:
     w_all = np.concatenate([t.values for t in w])  # (3H, C)
     u_zr = np.concatenate([u[0].values, u[1].values])  # (2H, H)
     u_h = u[2].values
-    x_rows = xb.transpose(2, 0, 1).reshape(t_len * n, c_in)  # time-major (T*B, C)
+    x_rows = xv.transpose(2, 0, 1).reshape(t_len * n, c_in)  # time-major (T*B, C)
     proj = x_rows @ w_all.T
     proj += np.concatenate([t.values for t in b])
     proj = proj.reshape(t_len, n, 3 * hidden)
@@ -430,12 +429,11 @@ def gru_sequence(x, w, u, b) -> Tensor:
         h_next += h  # h + z * (cand - h)
         if not keep:
             hs[0] = h_next
-    h = hs[-1]
-    out = Tensor(h.T if batched else h[0])
+    out = Tensor(hs[-1])
 
     def grad_fn(g, needs):
         da = np.empty((t_len, n, 3 * hidden))  # gradient of the gate pre-activations
-        dh = np.ascontiguousarray(g.T if batched else g[None, :])
+        dh = g
         for t in range(t_len - 1, -1, -1):
             h, zr, cand = hs[t], zrs[t], cands[t]
             z, r = zr[:, :hidden], zr[:, hidden:]
@@ -451,8 +449,7 @@ def gru_sequence(x, w, u, b) -> Tensor:
         da_rows = da.reshape(t_len * n, 3 * hidden)
         grads = [None] * len(inputs)
         if needs[0]:
-            gxb = np.ascontiguousarray((da_rows @ w_all).reshape(t_len, n, c_in).transpose(1, 2, 0))
-            grads[0] = gxb if batched else gxb[0]
+            grads[0] = np.ascontiguousarray((da_rows @ w_all).reshape(t_len, n, c_in).transpose(1, 2, 0))
         gw = da_rows.T @ x_rows
         gu_zr = da_rows[:, : 2 * hidden].T @ hs[:-1].reshape(t_len * n, hidden)
         gu_h = da_rows[:, 2 * hidden :].T @ rhs.reshape(t_len * n, hidden)

@@ -119,14 +119,6 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
         raise CliError(f"{path}: {err}") from None
 
 
-def write_frame_csv(path, frame: SeriesFrame) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(frame.names)
-        for row in frame.data:
-            writer.writerow([repr(float(x)) for x in row])
-
-
 # ---------------------------------------------------------------------------
 # manifest and table helpers
 
@@ -192,6 +184,9 @@ def _load_config_file(path) -> dict:
         raise CliError(f"cannot read config {path}: {err}") from None
     if not isinstance(payload, dict):
         raise CliError(f"{path}: config must be a JSON object")
+    for section in ("model", "train"):
+        if not isinstance(payload.get(section, {}), dict):
+            raise CliError(f"{path}: config section {section!r} must be a JSON object")
     return payload
 
 
@@ -404,7 +399,8 @@ def _cmd_synth_gen(args) -> int:
     manifest = RunManifest("synth-gen", asdict(spec), {"spec": spec.seed})
     corpus = generate(spec)
     path = out / "corpus.csv"
-    write_frame_csv(path, corpus_to_frame(corpus))
+    frame = corpus_to_frame(corpus)
+    write_table(path, frame.names, frame.data)
     manifest.add_artifact(path)
     manifest.finish(out)
     print(f"wrote {spec.n_series} series of length {spec.length} to {path}")

@@ -6,9 +6,10 @@ the shortcut output are summed.
 
 Parameters live in small dataclasses of autodiff Tensors. The forward
 pass has one implementation, :func:`forecast_batch`, over a batch of
-windows. Each public piece is computed once on the whole batch, and the
-single-window forms (:func:`forecast` and the unbatched
-:func:`head_predict` and :func:`ar_predict`) are a batch of one, reshaped.
+windows. Every piece below it takes a leading batch axis: windows are
+(B, T, v), GRU states are batch-major (B, H), and outputs are (L, B, v).
+:func:`conv_features` alone also takes an unbatched (v, T_r) input. The
+single-window :func:`forecast` is a batch of one, reshaped.
 """
 
 from __future__ import annotations
@@ -226,18 +227,15 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
 # forward pieces
 
 
-def multiscale_inputs(window: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The input block plus its half- and quarter-resolution averages.
-
-    ``window`` is (T,), (T, v), or (B, T, v) batched; time is the
-    second-to-last axis of the returned blocks.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[:, None]
-    if window.shape[-2] % 4 != 0:
-        raise ValueError(f"window length {window.shape[-2]} must be a multiple of 4")
-    return window, downsample_avg(window, 2), downsample_avg(window, 4)
+def multiscale_inputs(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, T, v) windows plus their (B, T/2, v) and (B, T/4, v)
+    half- and quarter-resolution averages."""
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError(f"multiscale_inputs: expected windows (B, T, v), got {windows.shape}")
+    if windows.shape[1] % 4 != 0:
+        raise ValueError(f"window length {windows.shape[1]} must be a multiple of 4")
+    return windows, downsample_avg(windows, 2), downsample_avg(windows, 4)
 
 
 def conv_features(x, stream: StreamParams) -> Tensor:
@@ -252,20 +250,20 @@ def conv_features(x, stream: StreamParams) -> Tensor:
 
 
 def _affine_gate(w: Tensor, x: Tensor, u: Tensor, h: Tensor, b: Tensor) -> Tensor:
-    s = ad.matmul(w, x) + ad.matmul(u, h)
-    return s + (b if s.values.ndim == 1 else ad.reshape(b, (-1, 1)))  # bias per row
+    return x @ ad.transpose(w) + h @ ad.transpose(u) + b
 
 
 def gru_step(h, x, gru: GruParams) -> Tensor:
-    """One GRU recurrence step.
+    """One GRU recurrence step, the reference :func:`gru_encode` is tested
+    against.
 
     z = sigmoid(W_z x + U_z h + b_z)
     r = sigmoid(W_r x + U_r h + b_r)
     cand = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * cand
 
-    ``h`` is (H,) and ``x`` is (C,); column-batched (H, B) / (C, B) inputs
-    work identically.
+    ``h`` is (B, H) and ``x`` is (B, C), one row per sequence, or (H,)
+    and (C,) for a single sequence.
     """
     if not isinstance(h, Tensor):
         h = constant(h)
@@ -278,13 +276,11 @@ def gru_step(h, x, gru: GruParams) -> Tensor:
 
 
 def gru_encode(g_seq, gru: GruParams) -> Tensor:
-    """Run the GRU over a feature sequence from a zero state; return the
-    final hidden state.
+    """Run the GRU over (B, C, T_r) feature sequences from a zero state;
+    return the final hidden states as (B, H).
 
-    ``g_seq`` is (C, T_r), giving (H,), or (B, C, T_r) batched, giving
-    (H, B). Both forms are one :func:`autodiff.gru_sequence` record; the
-    result equals composing :func:`gru_step` over the sequence up to
-    rounding.
+    This is one :func:`autodiff.gru_sequence` record; the result equals
+    composing :func:`gru_step` over the sequence up to rounding.
     """
     return ad.gru_sequence(
         g_seq,
@@ -297,33 +293,28 @@ def gru_encode(g_seq, gru: GruParams) -> Tensor:
 def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, heads: list[HeadParams]) -> Tensor:
     """Affine map of [h, h', h''] through each output step's own head.
 
-    The states are (H,), giving (L, v), or (H, B) batched, giving
-    (L, B, v); row t - 1 of the result is output step t. The states are
-    concatenated once for all steps.
+    The states are (B, H) each, concatenated once into (B, 3H); the
+    result is (L, B, v), and row t - 1 of it is output step t.
     """
-    cat = ad.concat([h_full, h_half, h_quarter], axis=0)
-    batched = cat.values.ndim == 2
-    if not batched:
-        cat = ad.reshape(cat, (-1, 1))  # a batch of one
-    cat_t = ad.transpose(cat)  # (B, 3H)
-    out = ad.stack([ad.matmul(cat_t, head.w) + head.b for head in heads])  # (L, B, v)
-    return out if batched else ad.reshape(out, (len(heads), -1))  # drop the batch axis
+    states = (h_full, h_half, h_quarter)
+    shapes = [np.shape(h) for h in states]
+    if any(len(shape) != 2 for shape in shapes):
+        raise ValueError(f"head_predict: expected states (B, H), got {shapes}")
+    cat = ad.concat(states, axis=1)
+    return ad.stack([cat @ head.w + head.b for head in heads])
 
 
-def ar_predict(window, shortcut: ShortcutParams, ar_window: int) -> Tensor:
+def ar_predict(windows, shortcut: ShortcutParams, ar_window: int) -> Tensor:
     """Linear forecast of each variable from its last ar_window values.
 
     The weight matrix (ar_window, L) and bias (L,) are shared across
-    variables. ``window`` is (T,) or (T, v), giving (L, v), or (B, T, v)
-    batched, giving (L, B, v).
+    variables. ``windows`` is (B, T, v), giving (L, B, v).
     """
     if shortcut is None:
         raise ValueError("ar_predict: this model was built without the shortcut")
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[:, None]
-    batched = window.ndim == 3
-    windows = window if batched else window[None]
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3:
+        raise ValueError(f"ar_predict: expected windows (B, T, v), got {windows.shape}")
     b, t_len, v = windows.shape
     if ar_window > t_len:
         raise ValueError(
@@ -332,7 +323,7 @@ def ar_predict(window, shortcut: ShortcutParams, ar_window: int) -> Tensor:
     # every (window, variable) pair is one column of trailing values
     recent = constant(windows[:, -ar_window:, :].transpose(1, 0, 2).reshape(ar_window, b * v))
     flat = ad.matmul(ad.transpose(shortcut.w), recent) + ad.reshape(shortcut.b, (-1, 1))  # (L, B*v)
-    return ad.reshape(flat, (-1, b, v) if batched else (-1, v))
+    return ad.reshape(flat, (-1, b, v))
 
 
 def forecast(window, params: ForecasterParams, config: ForecasterConfig) -> Tensor:
@@ -370,7 +361,7 @@ def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) 
     streams = (params.full, params.half, params.quarter)
     for block, stream in zip(multiscale_inputs(windows), streams):
         x = np.swapaxes(block, 1, 2)  # (B, v, T_r)
-        states.append(gru_encode(conv_features(x, stream), stream.gru))  # (H, B)
+        states.append(gru_encode(conv_features(x, stream), stream.gru))  # (B, H)
 
     out = head_predict(*states, params.heads)  # (L, B, v)
     if config.use_ar_shortcut:

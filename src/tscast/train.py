@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 PREDICT_CHUNK = 256  # windows per forecast_batch call in predict_windows
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass
@@ -40,19 +41,13 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     patience: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ValueError("learning_rate and eps must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.epochs < 0 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("epochs must be >= 0, batch_size and patience >= 1")
-        for beta in (self.beta1, self.beta2):
-            if not 0.0 < beta < 1.0:
-                raise ValueError(f"adam betas must lie in (0, 1), got {beta}")
 
 
 @dataclass
@@ -122,14 +117,14 @@ def adam_step(
 
     state.step += 1
     t = state.step
-    correct1 = 1.0 - hyper.beta1**t
-    correct2 = 1.0 - hyper.beta2**t
+    correct1 = 1.0 - BETA1**t
+    correct2 = 1.0 - BETA2**t
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = hyper.beta1 * state.m[i] + (1.0 - hyper.beta1) * g
-        state.v[i] = hyper.beta2 * state.v[i] + (1.0 - hyper.beta2) * g * g
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
         m_hat = state.m[i] / correct1
         v_hat = state.v[i] / correct2
-        p.values[...] = p.values - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        p.values[...] = p.values - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
     return params, state
 
 

@@ -253,24 +253,25 @@ def _gru_gates(hidden, c_in, scale=0.5):
     return w, u, b
 
 
-@pytest.mark.parametrize("x_shape", [(4, 2, 5), (2, 6)])
+@pytest.mark.parametrize("x_shape", [(4, 2, 5), (1, 2, 6)])
 def test_grad_gru_sequence(x_shape):
     w, u, b = _gru_gates(hidden=3, c_in=2)
     x = _param(*x_shape)
-    r = _proj((3,) + x_shape[:-2])
+    r = _proj((x_shape[0], 3))
     _check_op(lambda: mean_all(ad.gru_sequence(x, w, u, b) * r), [x, *w, *u, *b])
 
 
 def test_gru_sequence_rejects_bad_shapes():
     w, u, b = _gru_gates(hidden=3, c_in=2)
     with pytest.raises(DimensionError):
-        ad.gru_sequence(np.zeros((3, 5)), w, u, b)  # 3 channels for 2-channel weights
+        ad.gru_sequence(np.zeros((1, 3, 5)), w, u, b)  # 3 channels for 2-channel weights
+    for unbatched in (np.zeros(5), np.zeros((2, 5))):
+        with pytest.raises(DimensionError, match=r"\(B, C, T\)"):
+            ad.gru_sequence(unbatched, w, u, b)
     with pytest.raises(DimensionError):
-        ad.gru_sequence(np.zeros(5), w, u, b)
-    with pytest.raises(DimensionError):
-        ad.gru_sequence(np.zeros((2, 5)), w[:2], u, b)
+        ad.gru_sequence(np.zeros((1, 2, 5)), w[:2], u, b)
     with pytest.raises(ValueError):
-        ad.gru_sequence(np.zeros((2, 0)), w, u, b)
+        ad.gru_sequence(np.zeros((1, 2, 0)), w, u, b)
 
 
 def _conv_einsum(x, w, b):

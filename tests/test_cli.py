@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tscast.cli import CliError, build_parser, ingest_csv, run, write_frame_csv
+from tscast.cli import CliError, build_parser, ingest_csv, run, write_table
 from tscast.preprocess import SeriesFrame
 
 
@@ -22,7 +22,7 @@ def _write_series_csv(path, rng_seed=0, length=48, v=1):
         axis=1,
     )
     frame = SeriesFrame([f"y{j}" for j in range(v)], data)
-    write_frame_csv(path, frame)
+    write_table(path, frame.names, frame.data)
     return frame
 
 
@@ -241,6 +241,43 @@ def test_crossval_rejects_a_config_horizon(tmp_path, capsys):
     train_dir = tmp_path / "train"
     assert run(["train", "--input", str(data), "--window", "8", "--config", str(config), "--out-dir", str(train_dir)]) == 0
     assert json.loads((train_dir / "manifest.json").read_text())["config"]["model"]["L"] == 3
+
+
+_BAD_SECTIONS = [{"model": 3}, {"model": "ab"}, {"train": [1]}]
+
+
+def _run_with_config(tmp_path, command, payload):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / command
+    return run([command, "--input", str(data), "--window", "8", "--config", str(config), "--out-dir", str(out)]), out
+
+
+def test_train_rejects_a_config_section_that_is_not_an_object(tmp_path, capsys):
+    for payload in _BAD_SECTIONS:
+        code, out = _run_with_config(tmp_path, "train", payload)
+        assert code == 1
+        assert f"config section {next(iter(payload))!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_crossval_rejects_a_config_section_that_is_not_an_object(tmp_path, capsys):
+    for payload in _BAD_SECTIONS:
+        code, out = _run_with_config(tmp_path, "crossval", payload)
+        assert code == 1
+        assert f"config section {next(iter(payload))!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_config_rejects_the_adam_constants(tmp_path, capsys):
+    # beta1, beta2 and eps are module constants of tscast.train, not options
+    for key in ("beta1", "beta2", "eps"):
+        code, out = _run_with_config(tmp_path, "train", {"train": {key: 0.5}})
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _readme_synopsis() -> dict[str, str]:

@@ -97,23 +97,29 @@ def test_parameter_count_matches_formula():
 
 
 def test_multiscale_paper_example():
-    s, s_half, s_quarter = multiscale_inputs(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(s[:, 0], [1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(s_half[:, 0], [1.5, 3.5])
-    assert np.array_equal(s_quarter[:, 0], [2.5])
+    s, s_half, s_quarter = multiscale_inputs(np.array([1.0, 2.0, 3.0, 4.0])[None, :, None])
+    assert np.array_equal(s[0, :, 0], [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(s_half[0, :, 0], [1.5, 3.5])
+    assert np.array_equal(s_quarter[0, :, 0], [2.5])
 
 
 def test_multiscale_constant_input():
-    s, s_half, s_quarter = multiscale_inputs(np.full((8, 2), 3.0))
+    s, s_half, s_quarter = multiscale_inputs(np.full((2, 8, 2), 3.0))
     for block in (s, s_half, s_quarter):
         assert np.all(block == 3.0)
 
 
 def test_multiscale_lengths():
-    s, s_half, s_quarter = multiscale_inputs(np.random.default_rng(0).normal(size=(16, 3)))
-    assert s.shape == (16, 3)
-    assert s_half.shape == (8, 3)
-    assert s_quarter.shape == (4, 3)
+    s, s_half, s_quarter = multiscale_inputs(np.random.default_rng(0).normal(size=(5, 16, 3)))
+    assert s.shape == (5, 16, 3)
+    assert s_half.shape == (5, 8, 3)
+    assert s_quarter.shape == (5, 4, 3)
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 3)])
+def test_multiscale_rejects_unbatched_windows(shape):
+    with pytest.raises(ValueError, match=r"\(B, T, v\)"):
+        multiscale_inputs(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -184,55 +190,65 @@ def test_gru_step_convex_combination_bound():
         assert np.all(np.abs(out) <= np.maximum(np.abs(h), 1.0) + 1e-12)
 
 
+def test_gru_step_batch_rows_equal_single_calls():
+    rng = np.random.default_rng(40)
+    gru = init_forecaster(TINY).full.gru
+    h, x = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    rows = gru_step(h, x, gru).values  # (B, H)
+    assert rows.shape == (5, 4)
+    for i in range(5):
+        assert np.max(np.abs(rows[i] - gru_step(h[i], x[i], gru).values)) <= 1e-15
+
+
 def test_gru_encode_single_step_matches_gru_step():
     params = init_forecaster(TINY)
     gru = params.full.gru
-    g = np.random.default_rng(5).normal(size=(3, 1))
+    g = np.random.default_rng(5).normal(size=(1, 3, 1))
     enc = gru_encode(g, gru)
-    step = gru_step(np.zeros(4), g[:, 0], gru)
+    step = gru_step(np.zeros((1, 4)), g[:, :, 0], gru)
+    assert enc.shape == (1, 4)
     assert np.allclose(enc.values, step.values)
 
 
 def test_gru_encode_zero_params_stay_zero():
     gru = _zero_gru(4, 3)
-    out = gru_encode(np.random.default_rng(6).normal(size=(3, 9)), gru)
-    assert np.array_equal(out.values, np.zeros(4))
+    out = gru_encode(np.random.default_rng(6).normal(size=(2, 3, 9)), gru)
+    assert np.array_equal(out.values, np.zeros((2, 4)))
 
 
 def test_gru_encode_prefix_property():
     params = init_forecaster(TINY)
     gru = params.full.gru
-    g = np.random.default_rng(7).normal(size=(3, 6))
+    g = np.random.default_rng(7).normal(size=(2, 3, 6))
     full = gru_encode(g, gru).values
-    prefix = gru_encode(g[:, :4], gru).values
+    prefix = gru_encode(g[:, :, :4], gru).values
     h = constant(prefix)
     for t in (4, 5):
-        h = gru_step(h, g[:, t], gru)
+        h = gru_step(h, g[:, :, t], gru)
     assert np.allclose(h.values, full, atol=1e-14)
 
 
+def test_gru_encode_rejects_unbatched_input():
+    gru = init_forecaster(TINY).full.gru
+    for shape in [(3, 7), (7,)]:
+        with pytest.raises(ValueError, match=r"\(B, C, T\)"):
+            gru_encode(np.zeros(shape), gru)
+
+
 def _gru_step_oracle(x: Tensor, gru: GruParams) -> Tensor:
-    """Final GRU state by composing gru_step over time on taped slices:
-    (C, T) gives (H,), (B, C, T) gives (H, B). Time step t is sliced out as
-    a product with the one-hot vector e_t, which is exact."""
-    hidden = gru.u_z.shape[0]
-    t_len = x.shape[-1]
+    """Final (B, H) GRU state of (B, C, T) input by composing gru_step over
+    time on taped slices. Time step t is sliced out as a product with the
+    one-hot vector e_t, which is exact."""
+    b, c, t_len = x.shape
     one_hot = np.eye(t_len)
-    if x.values.ndim == 2:
-        h = constant(np.zeros(hidden))
-        for t in range(t_len):
-            h = gru_step(h, ad.matmul(x, constant(one_hot[t])), gru)
-        return h
-    b, c, _ = x.shape
     rows = ad.reshape(x, (b * c, t_len))
-    h = constant(np.zeros((hidden, b)))
+    h = constant(np.zeros((b, gru.u_z.shape[0])))
     for t in range(t_len):
-        x_t = ad.transpose(ad.reshape(ad.matmul(rows, constant(one_hot[t])), (b, c)))  # (C, B)
-        h = gru_step(h, x_t, gru)
+        h = gru_step(h, ad.reshape(ad.matmul(rows, constant(one_hot[t])), (b, c)), gru)
     return h
 
 
-@pytest.mark.parametrize("shape", [(3, 7), (5, 3, 7), (1, 3, 1)])
+@pytest.mark.parametrize("shape", [(1, 3, 7), (5, 3, 7), (1, 3, 1)])
 def test_gru_encode_equals_gru_step_composition(shape):
     rng = np.random.default_rng(41)
     gru = init_forecaster(TINY).full.gru
@@ -240,7 +256,7 @@ def test_gru_encode_equals_gru_step_composition(shape):
         getattr(gru, name).values[...] += 0.3 * rng.normal(size=getattr(gru, name).shape)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     params = [x] + [getattr(gru, name) for name in GruParams.__dataclass_fields__]
-    proj = constant(rng.normal(size=(4,) + shape[:-2]))
+    proj = constant(rng.normal(size=(shape[0], 4)))
 
     runs = []
     for encode in (gru_encode, _gru_step_oracle):
@@ -257,7 +273,7 @@ def test_gru_encode_equals_gru_step_composition(shape):
 
 def test_gru_encode_rejects_empty():
     with pytest.raises(ValueError):
-        gru_encode(np.zeros((3, 0)), _zero_gru(2, 3))
+        gru_encode(np.zeros((1, 3, 0)), _zero_gru(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +284,15 @@ def test_head_predict_zero_weights_returns_bias():
     params = init_forecaster(TINY)
     params.heads[0].w.values[...] = 0.0
     params.heads[0].b.values[...] = [1.5, -2.5]
-    h = [constant(np.random.default_rng(8).normal(size=4)) for _ in range(3)]
+    h = [constant(np.random.default_rng(8).normal(size=(1, 4))) for _ in range(3)]
     out = head_predict(h[0], h[1], h[2], params.heads)
-    assert np.array_equal(out.values[0], [1.5, -2.5])
+    assert np.array_equal(out.values[0, 0], [1.5, -2.5])
 
 
 def test_head_isolation():
     params = init_forecaster(TINY)
     rng = np.random.default_rng(9)
-    h = [constant(rng.normal(size=4)) for _ in range(3)]
+    h = [constant(rng.normal(size=(2, 4))) for _ in range(3)]
     before = head_predict(h[0], h[1], h[2], params.heads).values[1].copy()
     params.heads[0].w.values[...] = rng.normal(size=(12, 2))
     after = head_predict(h[0], h[1], h[2], params.heads).values[1]
@@ -286,7 +302,7 @@ def test_head_isolation():
 def test_head_permutation_equivariance():
     rng = np.random.default_rng(10)
     params = init_forecaster(TINY)
-    h = [constant(rng.normal(size=4)) for _ in range(3)]
+    h = [constant(rng.normal(size=(2, 4))) for _ in range(3)]
     base = head_predict(h[0], h[1], h[2], params.heads).values[0].copy()
 
     w = params.heads[0].w.values
@@ -294,6 +310,13 @@ def test_head_permutation_equivariance():
     swapped = [HeadParams(w=Tensor(permuted, requires_grad=True), b=params.heads[0].b)]
     out = head_predict(h[1], h[0], h[2], swapped).values
     assert np.allclose(out[0], base, atol=1e-14)
+
+
+def test_head_predict_rejects_unbatched_states():
+    params = init_forecaster(TINY)
+    h = [constant(np.zeros(4)) for _ in range(3)]
+    with pytest.raises(ValueError, match=r"\(B, H\)"):
+        head_predict(h[0], h[1], h[2], params.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +327,18 @@ def test_ar_predict_persistence_weights():
     params = init_forecaster(ForecasterConfig(v=1, T=8, L=1, n_filters=2, kernel_size=3, gru_hidden=2))
     params.shortcut.w.values[...] = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])
     params.shortcut.b.values[...] = 0.0
-    window = np.arange(1.0, 9.0)
+    window = np.arange(1.0, 9.0)[None, :, None]
     out = ar_predict(window, params.shortcut, 5)
-    assert np.array_equal(out.values, [[8.0]])
+    assert np.array_equal(out.values, [[[8.0]]])
 
 
 def test_ar_predict_linear_extrapolation():
     params = init_forecaster(ForecasterConfig(v=1, T=8, L=1, n_filters=2, kernel_size=3, gru_hidden=2))
     params.shortcut.w.values[...] = np.array([[0.0], [0.0], [0.0], [-1.0], [2.0]])
     params.shortcut.b.values[...] = 0.0
-    window = np.concatenate([np.zeros(3), np.array([1.0, 2.0, 3.0, 4.0, 5.0])])
+    window = np.concatenate([np.zeros(3), np.array([1.0, 2.0, 3.0, 4.0, 5.0])])[None, :, None]
     out = ar_predict(window, params.shortcut, 5)
-    assert np.array_equal(out.values, [[6.0]])  # 2*5 - 4
+    assert np.array_equal(out.values, [[[6.0]]])  # 2*5 - 4
 
 
 def test_ar_predict_weight_sharing_across_variables():
@@ -324,15 +347,22 @@ def test_ar_predict_weight_sharing_across_variables():
     params.shortcut.w.values[...] = rng.normal(size=(5, 3))
     params.shortcut.b.values[...] = rng.normal(size=3)
     col = rng.normal(size=8)
-    window = np.stack([col, col], axis=1)
+    window = np.stack([col, col], axis=1)[None]
     out = ar_predict(window, params.shortcut, 5).values
-    assert np.array_equal(out[:, 0], out[:, 1])
+    assert np.array_equal(out[:, 0, 0], out[:, 0, 1])
 
 
 def test_ar_predict_rejects_short_window():
     params = init_forecaster(ForecasterConfig(v=1, T=8, L=1, n_filters=2, kernel_size=3, gru_hidden=2))
     with pytest.raises(ValueError):
-        ar_predict(np.arange(4.0), params.shortcut, 5)
+        ar_predict(np.arange(4.0)[None, :, None], params.shortcut, 5)
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 2)])
+def test_ar_predict_rejects_unbatched_window(shape):
+    params = init_forecaster(TINY)
+    with pytest.raises(ValueError, match=r"\(B, T, v\)"):
+        ar_predict(np.zeros(shape), params.shortcut, TINY.ar_window)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +376,7 @@ def test_forecast_zero_heads_equals_ar_path():
         head.b.values[...] = 0.0
     window = np.random.default_rng(12).normal(size=(8, 2))
     pred = forecast(window, params, TINY).values
-    ar = ar_predict(window, params.shortcut, TINY.ar_window).values
+    ar = ar_predict(window[None], params.shortcut, TINY.ar_window).values[:, 0]
     assert np.allclose(pred, ar, atol=1e-14)
 
 
@@ -409,27 +439,24 @@ def test_predict_windows_rows_agree_with_forecast():
 
 
 def test_batched_head_and_ar_equal_per_window_calls():
-    # a per-window call is a batch of one (bit for bit); rows of a larger
-    # batch may differ in the last bits, as the BLAS splits products by size
+    # rows of a larger batch may differ from a batch of one in the last
+    # bits, as the BLAS splits products by size
     params = init_forecaster(TINY)
     _generic_point(params, np.random.default_rng(22))
     rng = np.random.default_rng(23)
-    h = rng.normal(size=(3, 4, 6))
+    h = rng.normal(size=(3, 6, 4))  # three (B, H) states
     all_steps = head_predict(h[0], h[1], h[2], params.heads).values  # (L, B, v)
     assert all_steps.shape == (TINY.L, 6, TINY.v)
     for i in range(6):
-        single = head_predict(h[0, :, i], h[1, :, i], h[2, :, i], params.heads).values  # (L, v)
-        one = head_predict(h[0, :, i : i + 1], h[1, :, i : i + 1], h[2, :, i : i + 1], params.heads)
-        assert np.array_equal(single, one.values[:, 0])
-        assert np.max(np.abs(all_steps[:, i] - single)) <= 1e-12
+        one = head_predict(h[0, i : i + 1], h[1, i : i + 1], h[2, i : i + 1], params.heads).values
+        assert np.max(np.abs(all_steps[:, i] - one[:, 0])) <= 1e-12
 
     windows = rng.normal(size=(6, 8, 2))
     ar = ar_predict(windows, params.shortcut, TINY.ar_window).values  # (L, B, v)
     assert ar.shape == (TINY.L, 6, TINY.v)
     for i in range(6):
-        single = ar_predict(windows[i], params.shortcut, TINY.ar_window).values
-        assert np.array_equal(single, ar_predict(windows[i : i + 1], params.shortcut, TINY.ar_window).values[:, 0])
-        assert np.max(np.abs(ar[:, i] - single)) <= 1e-12
+        one = ar_predict(windows[i : i + 1], params.shortcut, TINY.ar_window).values
+        assert np.max(np.abs(ar[:, i] - one[:, 0])) <= 1e-12
 
 
 def test_ar_exactness_on_affine_series():
@@ -495,13 +522,14 @@ def test_batched_loss_gradcheck():
 
 
 def test_conv_gru_mse_gradcheck_univariate():
-    # squared-error loss of a two-conv-layer + GRU pass on a random 1 x 8 input
+    # squared-error loss of a two-conv-layer + GRU pass on a random 1 x 8 input,
+    # as a batch of one
     config = ForecasterConfig(v=1, T=8, L=1, n_filters=2, kernel_size=3, gru_hidden=3, seed=21)
     params = init_forecaster(config)
     rng = np.random.default_rng(21)
     _generic_point(params, rng)
-    x = rng.normal(size=(1, 8))
-    target = constant(rng.normal(size=3))
+    x = rng.normal(size=(1, 1, 8))
+    target = constant(rng.normal(size=(1, 3)))
 
     def build():
         h = gru_encode(conv_features(x, params.full), params.full.gru)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tscast import train
 from tscast.autodiff import Tensor
 from tscast.model import ForecasterConfig, forecast, init_forecaster
 from tscast.preprocess import SeriesFrame, build_windows
@@ -72,10 +73,9 @@ def test_adam_moments_decay_on_zero_gradient():
     state = AdamState.for_params(params)
     state.m[0][...] = 1.0
     state.v[0][...] = 4.0
-    hyper = TrainConfig()
-    adam_step(params, [np.zeros(2)], state, hyper)
-    assert np.allclose(state.m[0], hyper.beta1 * 1.0)
-    assert np.allclose(state.v[0], hyper.beta2 * 4.0)
+    adam_step(params, [np.zeros(2)], state, TrainConfig())
+    assert np.allclose(state.m[0], train.BETA1 * 1.0)
+    assert np.allclose(state.v[0], train.BETA2 * 4.0)
 
 
 def test_adam_first_step_is_signed_learning_rate():
