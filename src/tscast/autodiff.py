@@ -15,7 +15,8 @@ The operation set is deliberately small:
   causal_conv1d computed as one GEMM per kernel tap;
 - gru_sequence, a whole GRU recurrence over a (B, C, T) batch as one
   record with a hand-written backpropagation through time, returning the
-  batch-major (B, H) final state;
+  batch-major (B, H) final state; its weights come stacked, one (3H, ...)
+  tensor per kind with the gate rows in z, r, h order;
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid is branched
   on the sign, so it never overflows);
 - the shape and reduction helpers concat, stack, transpose, reshape and
@@ -46,7 +47,6 @@ __all__ = [
     "gru_sequence",
     "matmul",
     "mean_all",
-    "pointwise",
     "relu",
     "reshape",
     "sigmoid",
@@ -363,46 +363,41 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def gru_sequence(x, w, u, b) -> Tensor:
     """Run a GRU over a whole sequence from a zero state, as one tape record.
 
-    ``x`` is (B, C, T). ``w``, ``u`` and ``b`` are the (z, r, h) triples of
-    input weights (H, C), recurrent weights (H, H) and biases (H,). Returns
-    the final hidden state as (B, H), one row per sequence. Each step, from
-    h = 0:
+    ``x`` is (B, C, T). ``w`` (3H, C), ``u`` (3H, H) and ``b`` (3H,) are
+    the input weights, recurrent weights and biases of the three gates
+    stacked by rows in z, r, h order, so W_z = w[:H], W_r = w[H:2H] and
+    W_h = w[2H:]. Returns the final hidden state as (B, H), one row per
+    sequence. Each step, from h = 0:
 
         z = sigmoid(W_z x_t + U_z h + b_z)
         r = sigmoid(W_r x_t + U_r h + b_r)
         cand = tanh(W_h x_t + U_h (r * h) + b_h)
         h = (1 - z) * h + z * cand
 
-    The input projections of all steps are one (T*B, C) @ (C, 3H) GEMM with
-    the gates' weights stacked at call time. The gate activations are kept
-    while a tape records, and backward is hand-written backpropagation
-    through time.
+    The input projections of all steps are one (T*B, C) @ (C, 3H) GEMM.
+    The gate activations are kept while a tape records, and backward is
+    hand-written backpropagation through time.
     """
-    x = _as_tensor(x)
-    gates = [tuple(_as_tensor(t) for t in triple) for triple in (w, u, b)]
-    if any(len(triple) != 3 for triple in gates):
-        raise DimensionError("gru_sequence: w, u and b must each hold the (z, r, h) gates")
-    w, u, b = gates
+    x, w, u, b = (_as_tensor(t) for t in (x, w, u, b))
     xv = x.values
     if xv.ndim != 3:
         raise DimensionError(f"gru_sequence: expected input (B, C, T), got {xv.shape}")
     n, c_in, t_len = xv.shape
-    hidden = u[0].shape[0]
-    for name, triple, shape in (("w", w, (hidden, c_in)), ("u", u, (hidden, hidden)), ("b", b, (hidden,))):
-        if any(t.shape != shape for t in triple):
-            got = [t.shape for t in triple]
-            raise DimensionError(f"gru_sequence: {name} gates {got} do not match {shape} for input {xv.shape}")
+    hidden = u.shape[-1] if u.values.ndim else 0
+    if hidden < 1 or (w.shape, u.shape, b.shape) != ((3 * hidden, c_in), (3 * hidden, hidden), (3 * hidden,)):
+        raise DimensionError(
+            f"gru_sequence: w {w.shape}, u {u.shape} and b {b.shape} do not match "
+            f"(3H, C), (3H, H) and (3H,) for input {xv.shape}"
+        )
     if t_len < 1:
         raise ValueError("gru_sequence: empty sequence")
 
-    inputs = (x, *w, *u, *b)
+    inputs = (x, w, u, b)
     keep = active_tape() is not None and any(_live(t) for t in inputs)
-    w_all = np.concatenate([t.values for t in w])  # (3H, C)
-    u_zr = np.concatenate([u[0].values, u[1].values])  # (2H, H)
-    u_h = u[2].values
+    u_zr, u_h = u.values[: 2 * hidden], u.values[2 * hidden :]  # row views (2H, H), (H, H)
     x_rows = xv.transpose(2, 0, 1).reshape(t_len * n, c_in)  # time-major (T*B, C)
-    proj = x_rows @ w_all.T
-    proj += np.concatenate([t.values for t in b])
+    proj = x_rows @ w.values.T
+    proj += b.values
     proj = proj.reshape(t_len, n, 3 * hidden)
 
     # Per step: the state entering it, the gates [z, r], r * h and the
@@ -447,21 +442,12 @@ def gru_sequence(x, w, u, b) -> Tensor:
             dh = dh - dcand + drh * r + da_zr @ u_zr
 
         da_rows = da.reshape(t_len * n, 3 * hidden)
-        grads = [None] * len(inputs)
+        gx = None
         if needs[0]:
-            grads[0] = np.ascontiguousarray((da_rows @ w_all).reshape(t_len, n, c_in).transpose(1, 2, 0))
-        gw = da_rows.T @ x_rows
+            gx = np.ascontiguousarray((da_rows @ w.values).reshape(t_len, n, c_in).transpose(1, 2, 0))
         gu_zr = da_rows[:, : 2 * hidden].T @ hs[:-1].reshape(t_len * n, hidden)
         gu_h = da_rows[:, 2 * hidden :].T @ rhs.reshape(t_len * n, hidden)
-        gb = da_rows.sum(axis=0)
-        for i, gi in enumerate((
-            gw[:hidden], gw[hidden : 2 * hidden], gw[2 * hidden :],
-            gu_zr[:hidden], gu_zr[hidden:], gu_h,
-            gb[:hidden], gb[hidden : 2 * hidden], gb[2 * hidden :],
-        ), start=1):
-            if needs[i]:
-                grads[i] = gi
-        return tuple(grads)
+        return gx, da_rows.T @ x_rows, np.concatenate([gu_zr, gu_h]), da_rows.sum(axis=0)
 
     return _record(out, inputs, grad_fn)
 
@@ -501,18 +487,6 @@ def tanh(x) -> Tensor:
         return (g * (1.0 - th * th),) if needs[0] else (None,)
 
     return _record(out, (x,), grad_fn)
-
-
-_POINTWISE = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def pointwise(op: str, x) -> Tensor:
-    """Apply one of {relu, sigmoid, tanh} elementwise."""
-    try:
-        fn = _POINTWISE[op]
-    except KeyError:
-        raise ValueError(f"pointwise: unknown op {op!r}, expected one of {sorted(_POINTWISE)}")
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------

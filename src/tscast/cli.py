@@ -74,6 +74,8 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
     or missing cell is an error naming its row and column.
     """
     path = Path(path)
+    if len(delimiter) != 1:
+        raise CliError(f"--delimiter must be a single character, got {delimiter!r}")
     if not path.exists():
         raise CliError(f"{path}: no such file")
     names: list[str] | None = None
@@ -213,6 +215,13 @@ def _build_configs(args, n_variables: int) -> tuple[ForecasterConfig, TrainConfi
         raise CliError(f"invalid configuration: {err}") from None
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise CliError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,10 +331,10 @@ def _cmd_crossval(args) -> int:
     if "L" in _load_config_file(args.config).get("model", {}):
         # cross_validate sets L itself: 1, then each of --horizons
         raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
+    horizons = tuple(_int_list("--horizons", args.horizons))
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
     out = _out_dir(args)
-    horizons = tuple(int(h) for h in args.horizons.split(",") if h) if args.horizons else ()
     manifest = RunManifest(
         "crossval",
         {
@@ -408,7 +417,9 @@ def _cmd_synth_gen(args) -> int:
 
 
 def _cmd_synth_ablate(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    seeds = _int_list("--seeds", args.seeds)
+    if args.trace_series < 0:
+        raise CliError(f"--trace-series must be >= 0, got {args.trace_series}")
     out = _out_dir(args)
     base_spec = SynthSpec(n_series=args.n_series, length=args.length)
     manifest = RunManifest(

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "tscast-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -92,15 +92,12 @@ class ForecasterConfig:
 
 @dataclass
 class GruParams:
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
+    """One GRU, each kind of weight stacked by rows in gate order z, r, h:
+    the layout :func:`autodiff.gru_sequence` computes with."""
+
+    w: Tensor  # (3H, C) input weights
+    u: Tensor  # (3H, H) recurrent weights
+    b: Tensor  # (3H,)
 
 
 @dataclass
@@ -142,8 +139,8 @@ class ForecasterParams:
             out.append((f"{stream_name}.conv1_b", stream.conv1_b))
             out.append((f"{stream_name}.conv2_w", stream.conv2_w))
             out.append((f"{stream_name}.conv2_b", stream.conv2_b))
-            for gate in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"):
-                out.append((f"{stream_name}.gru.{gate}", getattr(stream.gru, gate)))
+            for kind in ("w", "u", "b"):
+                out.append((f"{stream_name}.gru.{kind}", getattr(stream.gru, kind)))
         for i, head in enumerate(self.heads, start=1):
             out.append((f"head_{i}.w", head.w))
             out.append((f"head_{i}.b", head.b))
@@ -195,17 +192,15 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
     def make_stream() -> StreamParams:
         conv1_w = _glorot(rng, (nf, v, k), fan_in=v * k, fan_out=nf * k)
         conv2_w = _glorot(rng, (nf, nf, k), fan_in=nf * k, fan_out=nf * k)
-        gates = {}
-        for gate in ("z", "r", "h"):
-            gates[f"w_{gate}"] = _glorot(rng, (h, nf), fan_in=nf, fan_out=h)
-            gates[f"u_{gate}"] = _glorot(rng, (h, h), fan_in=h, fan_out=h)
-            gates[f"b_{gate}"] = _zeros(h)
+        # each gate's (W, U) blocks drawn in z, r, h order, then stacked by rows
+        blocks = [(_glorot(rng, (h, nf), nf, h).values, _glorot(rng, (h, h), h, h).values) for _ in "zrh"]
+        w, u = (Tensor(np.concatenate(kind), requires_grad=True) for kind in zip(*blocks))
         return StreamParams(
             conv1_w=conv1_w,
             conv1_b=_zeros(nf),
             conv2_w=conv2_w,
             conv2_b=_zeros(nf),
-            gru=GruParams(**gates),
+            gru=GruParams(w=w, u=u, b=_zeros(3 * h)),
         )
 
     heads = [
@@ -249,10 +244,6 @@ def conv_features(x, stream: StreamParams) -> Tensor:
     return ad.relu(ad.causal_conv1d(q, stream.conv2_w, stream.conv2_b))
 
 
-def _affine_gate(w: Tensor, x: Tensor, u: Tensor, h: Tensor, b: Tensor) -> Tensor:
-    return x @ ad.transpose(w) + h @ ad.transpose(u) + b
-
-
 def gru_step(h, x, gru: GruParams) -> Tensor:
     """One GRU recurrence step, the reference :func:`gru_encode` is tested
     against.
@@ -262,16 +253,23 @@ def gru_step(h, x, gru: GruParams) -> Tensor:
     cand = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * cand
 
-    ``h`` is (B, H) and ``x`` is (B, C), one row per sequence, or (H,)
-    and (C,) for a single sequence.
+    where W_z, W_r, W_h are the row blocks of ``gru.w``, and likewise for
+    U and b. ``h`` is (B, H) and ``x`` is (B, C), one row per sequence, or
+    (H,) and (C,) for a single sequence. Each gate's columns are picked out
+    of the stacked products ``x wᵀ + b`` and ``h uᵀ`` by products with
+    identity columns, which are exact.
     """
     if not isinstance(h, Tensor):
         h = constant(h)
     if not isinstance(x, Tensor):
         x = constant(x)
-    z = ad.sigmoid(_affine_gate(gru.w_z, x, gru.u_z, h, gru.b_z))
-    r = ad.sigmoid(_affine_gate(gru.w_r, x, gru.u_r, h, gru.b_r))
-    cand = ad.tanh(_affine_gate(gru.w_h, x, gru.u_h, r * h, gru.b_h))
+    pick_z, pick_r, pick_h = (constant(c) for c in np.split(np.eye(gru.u.shape[0]), 3, axis=1))
+    u_t = ad.transpose(gru.u)
+    xw = x @ ad.transpose(gru.w) + gru.b  # (B, 3H)
+    hu = h @ u_t
+    z = ad.sigmoid(xw @ pick_z + hu @ pick_z)
+    r = ad.sigmoid(xw @ pick_r + hu @ pick_r)
+    cand = ad.tanh(xw @ pick_h + (r * h) @ u_t @ pick_h)
     return (1.0 - z) * h + z * cand
 
 
@@ -279,15 +277,11 @@ def gru_encode(g_seq, gru: GruParams) -> Tensor:
     """Run the GRU over (B, C, T_r) feature sequences from a zero state;
     return the final hidden states as (B, H).
 
-    This is one :func:`autodiff.gru_sequence` record; the result equals
-    composing :func:`gru_step` over the sequence up to rounding.
+    This is one :func:`autodiff.gru_sequence` record on the stacked
+    weights as stored, with no per-call copy; the result equals composing
+    :func:`gru_step` over the sequence up to rounding.
     """
-    return ad.gru_sequence(
-        g_seq,
-        (gru.w_z, gru.w_r, gru.w_h),
-        (gru.u_z, gru.u_r, gru.u_h),
-        (gru.b_z, gru.b_r, gru.b_h),
-    )
+    return ad.gru_sequence(g_seq, gru.w, gru.u, gru.b)
 
 
 def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, heads: list[HeadParams]) -> Tensor:
@@ -417,7 +411,9 @@ def save_checkpoint(path, params: ForecasterParams, config: ForecasterConfig) ->
 
     Floats are serialized with shortest round-trip repr, so values survive
     a save/load cycle bit-exactly and re-saving a loaded checkpoint
-    reproduces the file byte for byte.
+    reproduces the file byte for byte. This always writes version 2;
+    :func:`load_checkpoint` also reads version 1, which stored each GRU
+    as nine per-gate arrays.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
@@ -438,18 +434,26 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     config = ForecasterConfig(**payload["config"])
     params = init_forecaster(config)
-    stored = payload["params"]
+    stored = {
+        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        for name, entry in payload["params"].items()
+    }
+    if version == 1:  # stack each stream's per-gate arrays, e.g. full.gru.w_{z,r,h} -> full.gru.w
+        for prefix in ("full.gru", "half.gru", "quarter.gru"):
+            for kind in ("w", "u", "b"):
+                gates = [f"{prefix}.{kind}_{gate}" for gate in "zrh"]
+                if all(name in stored for name in gates):
+                    stored[f"{prefix}.{kind}"] = np.concatenate([stored.pop(name) for name in gates])
     expected = [name for name, _ in params.named_parameters()]
     if sorted(stored) != sorted(expected):
         raise ValueError(f"{path}: checkpoint parameter names do not match the config")
     for name, tensor in params.named_parameters():
-        entry = stored[name]
-        values = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if values.shape != tensor.shape:
+        if stored[name].shape != tensor.shape:
             raise ValueError(f"{path}: shape mismatch for {name}")
-        tensor.values[...] = values
+        tensor.values[...] = stored[name]
     return params, config

@@ -319,12 +319,9 @@ def sliding_forecast(
     if bad.size:
         raise ValueError(f"series has a non-finite value at index {start - config.T + bad[0]}, before start={start}")
 
-    context = series[:start].copy()
-    produced: list[np.ndarray] = []
-    while len(produced) < total_steps:
-        window = context[-config.T :]
-        step = forecast(window, params, config).values  # (L, v)
-        for row in step:
-            produced.append(row)
-        context = np.concatenate([context, step], axis=0)
-    return np.asarray(produced[:total_steps])
+    slides = -(-total_steps // config.L)
+    rolled = np.empty((config.T + slides * config.L, series.shape[1]))  # context, then each slide's L rows
+    rolled[: config.T] = series[start - config.T : start]
+    for at in range(config.T, len(rolled), config.L):
+        rolled[at : at + config.L] = forecast(rolled[at - config.T : at], params, config).values
+    return rolled[config.T : config.T + total_steps]

@@ -77,17 +77,15 @@ def test_criterion_1_gradient_suite():
         rc = constant(rng.normal(size=(2, 6)))
         gradcheck(lambda: mean_all(causal_conv1d(cx, cw, cb) * rc), [cx, cw, cb])
 
-        for op in ("relu", "sigmoid", "tanh"):
+        for op in (ad.relu, ad.sigmoid, ad.tanh):
             px = param(4, 5)
             pr = constant(rng.normal(size=(4, 5)))
-            gradcheck(lambda op=op, px=px, pr=pr: mean_all(ad.pointwise(op, px) * pr), [px])
+            gradcheck(lambda op=op, px=px, pr=pr: mean_all(op(px) * pr), [px])
 
         gx = param(2, 3, 4)
-        gw = [param(2, 3) for _ in range(3)]
-        gu = [param(2, 2) for _ in range(3)]
-        gb = [param(2) for _ in range(3)]
+        gw, gu, gb = param(6, 3), param(6, 2), param(6)  # gate rows stacked in z, r, h order
         rg = constant(rng.normal(size=(2, 2)))
-        gradcheck(lambda: mean_all(ad.gru_sequence(gx, gw, gu, gb) * rg), [gx, *gw, *gu, *gb])
+        gradcheck(lambda: mean_all(ad.gru_sequence(gx, gw, gu, gb) * rg), [gx, gw, gu, gb])
 
         e1, e2 = param(3, 4), param(3, 4)
         re = constant(rng.normal(size=(3, 4)))

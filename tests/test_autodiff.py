@@ -12,7 +12,6 @@ from tscast.autodiff import (
     finite_diff_grad,
     matmul,
     mean_all,
-    pointwise,
     relu,
     sigmoid,
     tanh,
@@ -81,11 +80,9 @@ def test_causal_conv_rejects_empty():
 
 
 def test_pointwise_values():
-    assert np.array_equal(pointwise("relu", constant([-1.0, 0.0, 2.0])).values, [0.0, 0.0, 2.0])
-    assert np.array_equal(pointwise("sigmoid", constant([0.0])).values, [0.5])
-    assert np.array_equal(pointwise("tanh", constant([0.0])).values, [0.0])
-    with pytest.raises(ValueError):
-        pointwise("exp", constant([0.0]))
+    assert np.array_equal(relu(constant([-1.0, 0.0, 2.0])).values, [0.0, 0.0, 2.0])
+    assert np.array_equal(sigmoid(constant([0.0])).values, [0.5])
+    assert np.array_equal(tanh(constant([0.0])).values, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +242,9 @@ def test_grad_causal_conv_batched():
 
 
 def _gru_gates(hidden, c_in, scale=0.5):
-    w = [_param(hidden, c_in) for _ in range(3)]
-    u = [_param(hidden, hidden) for _ in range(3)]
-    b = [_param(hidden) for _ in range(3)]
-    for t in (*w, *u):
+    """Stacked (3H, C), (3H, H) and (3H,) GRU weights, gate rows in z, r, h order."""
+    w, u, b = _param(3 * hidden, c_in), _param(3 * hidden, hidden), _param(3 * hidden)
+    for t in (w, u):
         t.values *= scale  # keep the gates away from saturation
     return w, u, b
 
@@ -258,7 +254,7 @@ def test_grad_gru_sequence(x_shape):
     w, u, b = _gru_gates(hidden=3, c_in=2)
     x = _param(*x_shape)
     r = _proj((x_shape[0], 3))
-    _check_op(lambda: mean_all(ad.gru_sequence(x, w, u, b) * r), [x, *w, *u, *b])
+    _check_op(lambda: mean_all(ad.gru_sequence(x, w, u, b) * r), [x, w, u, b])
 
 
 def test_gru_sequence_rejects_bad_shapes():
@@ -268,8 +264,9 @@ def test_gru_sequence_rejects_bad_shapes():
     for unbatched in (np.zeros(5), np.zeros((2, 5))):
         with pytest.raises(DimensionError, match=r"\(B, C, T\)"):
             ad.gru_sequence(unbatched, w, u, b)
-    with pytest.raises(DimensionError):
-        ad.gru_sequence(np.zeros((1, 2, 5)), w[:2], u, b)
+    for bad in ((w.values[:6], u, b), (w, u.values[:, :2], b), (w, u, b.values[:3]), (w, u.values[0], b)):
+        with pytest.raises(DimensionError, match=r"\(3H, C\), \(3H, H\) and \(3H,\)"):
+            ad.gru_sequence(np.zeros((1, 2, 5)), *bad)
     with pytest.raises(ValueError):
         ad.gru_sequence(np.zeros((1, 2, 0)), w, u, b)
 
@@ -340,10 +337,10 @@ def test_gru_sequence_saturated_gates_do_not_overflow():
 
 
 def test_grad_pointwise():
-    for op in ("relu", "sigmoid", "tanh"):
+    for op in (relu, sigmoid, tanh):
         x = _param(4, 5)
         r = _proj((4, 5))
-        _check_op(lambda op=op, x=x, r=r: mean_all(pointwise(op, x) * r), [x])
+        _check_op(lambda op=op, x=x, r=r: mean_all(op(x) * r), [x])
 
 
 def test_grad_arithmetic():

@@ -71,6 +71,16 @@ def test_ingest_no_header_and_timestamp_column(tmp_path):
     assert np.array_equal(frame.data, [[1.0, 10.0], [2.0, 20.0]])
 
 
+def test_ingest_rejects_a_delimiter_that_is_not_one_character(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    for delimiter in (";;", ""):
+        with pytest.raises(CliError, match="--delimiter"):
+            ingest_csv(data, delimiter=delimiter)
+        assert run(["ingest-check", "--input", str(data), "--delimiter", delimiter]) == 1
+        assert "--delimiter" in capsys.readouterr().err
+
+
 def test_ingest_missing_file():
     with pytest.raises(CliError):
         ingest_csv("/nonexistent/nowhere.csv")
@@ -207,6 +217,14 @@ def test_synth_ablate_emits_paired_results_and_traces(tmp_path):
         assert str(artifact) in manifest["artifacts"]
 
 
+def test_synth_ablate_rejects_a_negative_trace_count_and_bad_seeds(tmp_path, capsys):
+    out = tmp_path / "ablate"
+    for flag, value in (("--trace-series", "-1"), ("--seeds", "0,x")):
+        assert run(["synth-ablate", "--seeds", "0", flag, value, "--out-dir", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_synth_ablate_rejects_no_ar_shortcut_flag(tmp_path, capsys):
     # both arms set the shortcut themselves, so the command takes no such flag
     with pytest.raises(SystemExit) as exc:
@@ -224,6 +242,15 @@ def test_crossval_rejects_horizon_flag(tmp_path, capsys):
         run(["crossval", "--input", str(data), "--horizon", "3", "--out-dir", str(tmp_path / "cv")])
     assert exc.value.code == 2
     assert "--horizon" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
+def test_crossval_rejects_a_horizon_that_is_not_an_integer(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    code = run(["crossval", "--input", str(data), "--horizons", "3,x", "--out-dir", str(tmp_path / "cv")])
+    assert code == 1
+    assert "--horizons" in capsys.readouterr().err
     assert not (tmp_path / "cv").exists()
 
 

@@ -1,4 +1,6 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,16 +30,13 @@ from tscast.train import predict_windows
 
 from _checks import gradcheck
 
+DATA = Path(__file__).resolve().parent / "data"
 TINY = ForecasterConfig(v=2, T=8, L=2, n_filters=3, kernel_size=3, gru_hidden=4, seed=11)
 
 
 def _zero_gru(h, c):
     z = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
-    return GruParams(
-        w_z=z(h, c), u_z=z(h, h), b_z=z(h),
-        w_r=z(h, c), u_r=z(h, h), b_r=z(h),
-        w_h=z(h, c), u_h=z(h, h), b_h=z(h),
-    )
+    return GruParams(w=z(3 * h, c), u=z(3 * h, h), b=z(3 * h))
 
 
 # ---------------------------------------------------------------------------
@@ -64,24 +63,36 @@ def test_init_deterministic():
 def test_init_biases_zero_and_weights_bounded():
     params = init_forecaster(TINY)
     for name, t in params.named_parameters():
-        if name.endswith("_b") or name.endswith(".b") or ".b_" in name:
+        if name.endswith("_b") or name.endswith(".b"):
             assert np.array_equal(t.values, np.zeros(t.shape)), name
-        else:
-            fan_in, fan_out = _fans(name, t)
+            continue
+        # a GRU weight stacks one block per gate (z, r, h), each drawn with its own fans
+        for block in np.split(t.values, 3) if ".gru." in name else [t.values]:
+            fan_in, fan_out = _fans(name, block)
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            assert np.max(np.abs(t.values)) <= bound, name
+            assert np.max(np.abs(block)) <= bound, name
 
 
-def _fans(name, t):
+def _fans(name, a):
     if "conv" in name:
-        c_out, c_in, k = t.shape
+        c_out, c_in, k = a.shape
         return c_in * k, c_out * k
-    if t.values.ndim == 2:
-        rows, cols = t.shape
+    if a.ndim == 2:
+        rows, cols = a.shape
         if name.startswith("head") or name.startswith("ar"):
             return rows, cols
         return cols, rows  # gru maps act as (out, in)
     raise AssertionError(f"unexpected weight {name}")
+
+
+def test_each_gru_is_three_stacked_tensors():
+    assert [f.name for f in fields(GruParams)] == ["w", "u", "b"]
+    params = init_forecaster(ForecasterConfig(v=1))
+    assert len(params.parameters()) == 25  # 4 conv + 3 GRU tensors per stream, one head, the shortcut
+    names = [name for name, _ in params.named_parameters()]
+    assert names[4:7] == ["full.gru.w", "full.gru.u", "full.gru.b"]
+    gru = params.full.gru
+    assert (gru.w.shape, gru.u.shape, gru.b.shape) == ((192, 32), (192, 64), (192,))
 
 
 def test_parameter_count_matches_formula():
@@ -182,7 +193,7 @@ def test_gru_step_convex_combination_bound():
     tiny = init_forecaster(TINY)
     gru = tiny.full.gru
     for _ in range(50):
-        for t in (gru.w_z, gru.u_z, gru.b_z, gru.w_r, gru.u_r, gru.b_r, gru.w_h, gru.u_h, gru.b_h):
+        for t in (gru.w, gru.u, gru.b):
             t.values[...] = rng.normal(size=t.shape)
         h = rng.normal(size=4) * 3.0
         x = rng.normal(size=3)
@@ -242,7 +253,7 @@ def _gru_step_oracle(x: Tensor, gru: GruParams) -> Tensor:
     b, c, t_len = x.shape
     one_hot = np.eye(t_len)
     rows = ad.reshape(x, (b * c, t_len))
-    h = constant(np.zeros((b, gru.u_z.shape[0])))
+    h = constant(np.zeros((b, gru.u.shape[1])))
     for t in range(t_len):
         h = gru_step(h, ad.reshape(ad.matmul(rows, constant(one_hot[t])), (b, c)), gru)
     return h
@@ -601,6 +612,29 @@ def test_checkpoint_round_trip(tmp_path):
     # byte-stable: saving the loaded model reproduces the file exactly
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, loaded, config)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_version_1_loads_and_forecasts_bit_for_bit(tmp_path):
+    # written in the version-1 layout: nine per-gate GRU arrays <stream>.gru.{w,u,b}_{z,r,h}
+    v1 = json.loads((DATA / "checkpoint_v1.json").read_text())
+    reference = json.loads((DATA / "checkpoint_v1_forecast.json").read_text())
+    assert v1["version"] == 1
+    params, config = load_checkpoint(DATA / "checkpoint_v1.json")
+    pred = forecast(np.array(reference["window"]), params, config).values
+    assert pred.reshape(-1).tolist() == reference["forecast"]
+    for stream in ("full", "half", "quarter"):
+        gru = getattr(params, stream).gru
+        for kind in ("w", "u", "b"):
+            gates = [v1["params"][f"{stream}.gru.{kind}_{gate}"] for gate in "zrh"]
+            stacked = np.concatenate([np.reshape(g["data"], g["shape"]) for g in gates])
+            assert np.array_equal(getattr(gru, kind).values, stacked)
+
+    # re-saving writes version 2, whose round trip is byte for byte
+    path, path2 = tmp_path / "v2.json", tmp_path / "v2_again.json"
+    save_checkpoint(path, params, config)
+    assert json.loads(path.read_text())["version"] == 2
+    save_checkpoint(path2, *load_checkpoint(path))
     assert path.read_bytes() == path2.read_bytes()
 
 

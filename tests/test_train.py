@@ -137,13 +137,13 @@ def test_train_model_names_the_non_finite_gradient(monkeypatch):
         real_backward(loss)
         calls.append(None)
         if len(calls) == 3:  # the first step of the second epoch
-            created[0].half.gru.u_r.grad[0, 1] = np.nan
+            created[0].half.gru.u.grad[0, 1] = np.nan
 
     monkeypatch.setattr(train_module, "init_forecaster", init)
     monkeypatch.setattr(train_module, "backward", poisoned_backward)
     windows = build_windows(_affine_frame(length=40), T=8, L=1)  # 29 train windows: 2 steps an epoch
     config = ForecasterConfig(v=1, T=8, L=1, seed=0, **TINY_MODEL)
-    with pytest.raises(FloatingPointError, match=r"^training: non-finite gradient for half\.gru\.u_r at epoch 1$"):
+    with pytest.raises(FloatingPointError, match=r"^training: non-finite gradient for half\.gru\.u at epoch 1$"):
         train_model(windows, config, TrainConfig(epochs=3, batch_size=16))
 
 
