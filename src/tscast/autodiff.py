@@ -12,13 +12,15 @@ The operation set is deliberately small:
 
 - elementwise add / sub / mul, which broadcast like numpy;
 - matmul, where a vector is a one-row or one-column matrix, and
-  causal_conv1d computed as one GEMM per kernel tap;
+  causal_conv1d computed as one product per kernel tap (a GEMM, or a
+  broadcast multiply when there is one input channel);
 - gru_sequence, a whole GRU recurrence over a (B, C, T) batch as one
   record with a hand-written backpropagation through time, returning the
   batch-major (B, H) final state; its weights come stacked, one (3H, ...)
-  tensor per kind with the gate rows in z, r, h order;
-- the pointwise nonlinearities relu / sigmoid / tanh (sigmoid is branched
-  on the sign, so it never overflows);
+  tensor per kind with the gate rows in z, r, h order, and its steps
+  write into buffers allocated once per call;
+- the pointwise nonlinearities relu / sigmoid / tanh (sigmoid takes exp
+  of -|x| only, so it never overflows, and needs no select on the sign);
 - the shape and reduction helpers concat, stack, transpose, reshape and
   mean_all.
 
@@ -286,8 +288,10 @@ def causal_conv1d(x, w, b) -> Tensor:
     times <= t.
 
     The forward pass and both gradients are one GEMM per tap on shifted
-    views of the padded input; no K-fold copy of the input is made. An
-    unbatched input is computed as a batch of one.
+    views of the padded input; no K-fold copy of the input is made. With
+    one input channel the forward tap products are broadcast multiplies,
+    which give the same values as GEMMs with an inner dimension of one.
+    An unbatched input is computed as a batch of one.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xv, wv, bv = x.values, w.values, b.values
@@ -320,9 +324,12 @@ def causal_conv1d(x, w, b) -> Tensor:
     taps = np.ascontiguousarray(wv.transpose(2, 1, 0))  # (K, C_in, C_out)
     yf = np.empty((n * span, c_out))
     prod = np.empty((rows, c_out))
-    np.matmul(xf[:rows], taps[0], out=yf[:rows])
+    # With one input channel a tap's GEMM has K=1: each entry is a single
+    # product, which a broadcast multiply gives with the same value.
+    tap_product = np.multiply if c_in == 1 else np.matmul
+    tap_product(xf[:rows], taps[0], out=yf[:rows])
     for tap in range(1, k):
-        yf[:rows] += np.matmul(xf[tap : tap + rows], taps[tap], out=prod)
+        yf[:rows] += tap_product(xf[tap : tap + rows], taps[tap], out=prod)
     out_v = np.empty((n, c_out, t_len))
     np.add(yf.reshape(n, span, c_out)[:, :t_len, :].transpose(0, 2, 1), bv[:, None], out=out_v)
     out = Tensor(out_v if batched else out_v[0])
@@ -353,11 +360,22 @@ def causal_conv1d(x, w, b) -> Tensor:
 # recurrent sequence op
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    """Logistic function branched on the sign, so exp never overflows."""
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0.0, 1.0 / d, e / d)
+def _sigmoid(v: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Logistic function of ``v`` written into ``out``, which may be ``v``.
+
+    ``e`` is scratch of the same shape. With e = exp(-|v|), exp never
+    overflows, and the numerator max(e, v >= 0) is exactly 1 for v >= 0
+    and exactly e below, so a single divide gives 1 / (1 + e) or
+    e / (1 + e) without a select on the sign, with the same bits as the
+    two-divide form, ±0, ±inf and NaN included.
+    """
+    np.copysign(v, -1.0, out=e)  # -|v|
+    np.exp(e, out=e)
+    np.greater_equal(v, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def gru_sequence(x, w, u, b) -> Tensor:
@@ -376,7 +394,8 @@ def gru_sequence(x, w, u, b) -> Tensor:
 
     The input projections of all steps are one (T*B, C) @ (C, 3H) GEMM.
     The gate activations are kept while a tape records, and backward is
-    hand-written backpropagation through time.
+    hand-written backpropagation through time. Both sweeps write each step
+    into arrays allocated once per call.
     """
     x, w, u, b = (_as_tensor(t) for t in (x, w, u, b))
     xv = x.values
@@ -407,12 +426,13 @@ def gru_sequence(x, w, u, b) -> Tensor:
     zrs = np.empty((depth, n, 2 * hidden))
     rhs = np.empty((depth, n, hidden))
     cands = np.empty((depth, n, hidden))
+    e = np.empty((n, 2 * hidden))  # sigmoid scratch
     for t in range(t_len):
         i = t if keep else 0
         h, zr, rh, cand = hs[i], zrs[i], rhs[i], cands[i]
-        pre = h @ u_zr.T
-        pre += proj[t, :, : 2 * hidden]
-        zr[...] = _sigmoid(pre)
+        np.matmul(h, u_zr.T, out=zr)
+        zr += proj[t, :, : 2 * hidden]
+        _sigmoid(zr, zr, e)
         z, r = zr[:, :hidden], zr[:, hidden:]
         np.multiply(r, h, out=rh)
         np.matmul(rh, u_h.T, out=cand)
@@ -428,18 +448,28 @@ def gru_sequence(x, w, u, b) -> Tensor:
 
     def grad_fn(g, needs):
         da = np.empty((t_len, n, 3 * hidden))  # gradient of the gate pre-activations
-        dh = g
+        dh = g.copy()
+        dcand, drh, tmp = np.empty((3, n, hidden))  # drh: gradient of r * h
+        tmp_zr = np.empty((n, 2 * hidden))
         for t in range(t_len - 1, -1, -1):
             h, zr, cand = hs[t], zrs[t], cands[t]
             z, r = zr[:, :hidden], zr[:, hidden:]
             da_zr, da_h = da[t, :, : 2 * hidden], da[t, :, 2 * hidden :]
-            dcand = dh * z
-            np.multiply(dcand, 1.0 - cand * cand, out=da_h)
-            drh = da_h @ u_h  # gradient of r * h
-            np.multiply(dh, cand - h, out=da_zr[:, :hidden])
+            np.multiply(dh, z, out=dcand)
+            np.multiply(cand, cand, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dcand, tmp, out=da_h)
+            np.matmul(da_h, u_h, out=drh)
+            np.subtract(cand, h, out=tmp)
+            np.multiply(dh, tmp, out=da_zr[:, :hidden])
             np.multiply(drh, h, out=da_zr[:, hidden:])
-            da_zr *= zr * (1.0 - zr)
-            dh = dh - dcand + drh * r + da_zr @ u_zr
+            np.subtract(1.0, zr, out=tmp_zr)
+            tmp_zr *= zr
+            da_zr *= tmp_zr
+            # dh = ((dh - dcand) + drh * r) + da_zr @ u_zr, in that order
+            dh -= dcand
+            dh += np.multiply(drh, r, out=tmp)
+            dh += np.matmul(da_zr, u_zr, out=tmp)
 
         da_rows = da.reshape(t_len * n, 3 * hidden)
         gx = None
@@ -469,7 +499,7 @@ def relu(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    s = _sigmoid(x.values)
+    s = _sigmoid(x.values, np.empty(x.shape), np.empty(x.shape))
     out = Tensor(s)
 
     def grad_fn(g, needs):

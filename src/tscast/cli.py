@@ -289,13 +289,22 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    frame = _ingest(args)
-    params, model_config = load_checkpoint(args.checkpoint)
+def _load_model(args, frame) -> tuple:
+    """The checkpoint's parameters and config, checked against the input."""
+    try:
+        params, model_config = load_checkpoint(args.checkpoint)
+    except OSError as err:
+        raise CliError(f"cannot read checkpoint {args.checkpoint}: {err}") from None
     if model_config.v != frame.n_variables:
         raise CliError(
             f"checkpoint expects {model_config.v} variables, input has {frame.n_variables}"
         )
+    return params, model_config
+
+
+def _cmd_evaluate(args) -> int:
+    frame = _ingest(args)
+    params, model_config = _load_model(args, frame)
     out = _out_dir(args)
     manifest = RunManifest("evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
     manifest.add_input(args.input)
@@ -377,11 +386,7 @@ def _cmd_crossval(args) -> int:
 
 def _cmd_forecast(args) -> int:
     frame = _ingest(args)
-    params, model_config = load_checkpoint(args.checkpoint)
-    if model_config.v != frame.n_variables:
-        raise CliError(
-            f"checkpoint expects {model_config.v} variables, input has {frame.n_variables}"
-        )
+    params, model_config = _load_model(args, frame)
     out = _out_dir(args)
     manifest = RunManifest("forecast", {"model": asdict(model_config), "steps": args.steps}, {})
     manifest.add_input(args.input)

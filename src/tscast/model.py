@@ -429,19 +429,31 @@ def save_checkpoint(path, params: ForecasterParams, config: ForecasterConfig) ->
         fh.write("\n")
 
 
+def _field(path, mapping, key: str, owner: str = "checkpoint"):
+    """``mapping[key]``, or a ValueError naming the file and the missing key."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"{path}: {owner} has no {key!r}")
+    return mapping[key]
+
+
 def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = payload.get("version")
     if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    config = ForecasterConfig(**payload["config"])
+    try:
+        config = ForecasterConfig(**_field(path, payload, "config"))
+    except TypeError as err:
+        raise ValueError(f"{path}: invalid config: {err}") from None
     params = init_forecaster(config)
     stored = {
-        name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
+        name: np.asarray(_field(path, entry, "data", f"entry {name!r}"), dtype=np.float64).reshape(
+            _field(path, entry, "shape", f"entry {name!r}")
+        )
+        for name, entry in _field(path, payload, "params").items()
     }
     if version == 1:  # stack each stream's per-gate arrays, e.g. full.gru.w_{z,r,h} -> full.gru.w
         for prefix in ("full.gru", "half.gru", "quarter.gru"):

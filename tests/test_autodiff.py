@@ -317,6 +317,123 @@ def test_causal_conv_matches_einsum_reference(x_shape, w_shape):
         assert np.max(np.abs(analytic - reference)) <= 1e-12
 
 
+def _conv_tap_matmul(x, w, b):
+    """Causal convolution of (B, C_in, T) as one np.matmul per tap, summed in
+    tap order on the time-major padded input: the GEMM form, kept as the
+    reference the one-channel kernel must equal exactly."""
+    k, t_len = w.shape[2], x.shape[-1]
+    xp = np.pad(x.transpose(0, 2, 1), [(0, 0), (k - 1, 0), (0, 0)])
+    y = np.matmul(xp[:, :t_len], w[:, :, 0].T)
+    for tap in range(1, k):
+        y += np.matmul(xp[:, tap : tap + t_len], w[:, :, tap].T)
+    return y.transpose(0, 2, 1) + b[:, None]
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((32, 1, 64), (32, 1, 7)),  # conv1 at the defaults
+    ((5, 1, 4), (2, 1, 6)),     # kernel longer than the sequence
+    ((1, 9), (3, 1, 3)),        # unbatched
+    ((2, 1, 1), (4, 1, 1)),     # a single step and a single tap
+])
+def test_causal_conv_one_channel_equals_per_tap_matmul(x_shape, w_shape):
+    rng = np.random.default_rng(47)
+    xv, wv, bv = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    out = causal_conv1d(xv, wv, bv).values
+    ref = _conv_tap_matmul(xv if xv.ndim == 3 else xv[None], wv, bv)
+    assert np.array_equal(out, ref if xv.ndim == 3 else ref[0])
+
+
+def _ref_sigmoid(v):
+    """The logistic function as two divides and a select on the sign: the
+    oracle for the select-free kernel."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0.0, 1.0 / d, e / d)
+
+
+def _ref_gru_sequence(xv, wv, uv, bv, g):
+    """Loop form of gru_sequence's forward pass and backpropagation through
+    time with a fresh array per step, kept as the bit-for-bit oracle.
+
+    Returns the final state and the gradients of sum(g * h) with respect to
+    x, w, u and b.
+    """
+    n, c_in, t_len = xv.shape
+    hidden = uv.shape[1]
+    u_zr, u_h = uv[: 2 * hidden], uv[2 * hidden :]
+    x_rows = xv.transpose(2, 0, 1).reshape(t_len * n, c_in)
+    proj = x_rows @ wv.T
+    proj += bv
+    proj = proj.reshape(t_len, n, 3 * hidden)
+    hs, zrs, rhs, cands = [np.zeros((n, hidden))], [], [], []
+    for t in range(t_len):
+        h = hs[-1]
+        pre = h @ u_zr.T
+        pre += proj[t, :, : 2 * hidden]
+        zr = _ref_sigmoid(pre)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        rh = r * h
+        cand = rh @ u_h.T
+        cand += proj[t, :, 2 * hidden :]
+        cand = np.tanh(cand)
+        zrs.append(zr), rhs.append(rh), cands.append(cand)
+        hs.append(h + z * (cand - h))
+
+    da = np.empty((t_len, n, 3 * hidden))
+    dh = g
+    for t in range(t_len - 1, -1, -1):
+        h, zr, cand = hs[t], zrs[t], cands[t]
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        dcand = dh * z
+        da[t, :, 2 * hidden :] = dcand * (1.0 - cand * cand)
+        drh = da[t, :, 2 * hidden :] @ u_h
+        da[t, :, :hidden] = dh * (cand - h)
+        da[t, :, hidden : 2 * hidden] = drh * h
+        da[t, :, : 2 * hidden] *= zr * (1.0 - zr)
+        dh = dh - dcand + drh * r + da[t, :, : 2 * hidden] @ u_zr
+    da_rows = da.reshape(t_len * n, 3 * hidden)
+    gx = (da_rows @ wv).reshape(t_len, n, c_in).transpose(1, 2, 0)
+    gu = np.concatenate([
+        da_rows[:, : 2 * hidden].T @ np.stack(hs[:-1]).reshape(t_len * n, hidden),
+        da_rows[:, 2 * hidden :].T @ np.stack(rhs).reshape(t_len * n, hidden),
+    ])
+    return hs[-1], gx, da_rows.T @ x_rows, gu, da_rows.sum(axis=0)
+
+
+@pytest.mark.parametrize("batch, c_in, t_len, hidden, scale", [
+    (1, 1, 1, 1, 0.5),       # one sequence, one step, one unit
+    (1, 32, 16, 64, 0.3),    # one window, as forecast runs it: matrix-vector products
+    (32, 32, 64, 64, 0.3),   # the full-resolution stream at the defaults
+    (4, 3, 9, 5, 1000.0),    # gates saturated at about +-1000
+])
+def test_gru_sequence_equals_loop_reference_bit_for_bit(batch, c_in, t_len, hidden, scale):
+    rng = np.random.default_rng(batch + t_len + hidden)
+    xv = rng.normal(size=(batch, c_in, t_len))
+    wv, uv = rng.normal(size=(3 * hidden, c_in)) * scale, rng.normal(size=(3 * hidden, hidden)) * scale
+    bv, g = rng.normal(size=3 * hidden), rng.normal(size=(batch, hidden))
+    x, w, u, b = (Tensor(v.copy(), requires_grad=True) for v in (xv, wv, uv, bv))
+    with Tape():
+        h = ad.gru_sequence(x, w, u, b)
+        backward(mean_all(h * constant(g)))
+    upstream = np.full(g.shape, 1.0 / g.size) * g  # what mean_all and mul hand the op
+    reference = _ref_gru_sequence(xv, wv, uv, bv, upstream)
+    if scale > 1.0:
+        assert np.mean(np.abs(reference[0]) == 1.0) > 0.5  # the gates really saturate
+    for got, want in zip((h.values, x.grad, w.grad, u.grad, b.grad), reference):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(ad.gru_sequence(xv, wv, uv, bv).values, reference[0])  # untaped
+
+
+def test_sigmoid_equals_select_reference_bit_for_bit():
+    special = [0.0, 1e-300, 40.0, 745.0, 1000.0, np.inf]
+    v = np.array(special + [-s for s in special] + [np.nan])
+    want = _ref_sigmoid(v).view(np.uint64)
+    assert np.array_equal(ad.sigmoid(v).values.view(np.uint64), want)
+    inplace = v.copy()
+    ad._sigmoid(inplace, inplace, np.empty_like(v))  # the in-place form gru_sequence uses
+    assert np.array_equal(inplace.view(np.uint64), want)
+
+
 def test_sigmoid_does_not_overflow():
     x = Tensor(np.array([-1000.0, -40.0, 0.0, 40.0, 1000.0]), requires_grad=True)
     with np.errstate(over="raise", under="ignore"), Tape():

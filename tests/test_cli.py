@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tscast.cli import CliError, build_parser, ingest_csv, run, write_table
+from tscast.model import ForecasterConfig, init_forecaster, save_checkpoint
 from tscast.preprocess import SeriesFrame
 
 
@@ -177,6 +178,34 @@ def test_forecast_command_long_format(tmp_path):
     step, variable, value = lines[1].split(",")
     assert step == "0" and variable == "y0"
     float(value)
+
+
+def test_forecast_reports_a_missing_checkpoint_file(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    missing = tmp_path / "nonexistent.json"
+    assert run([
+        "forecast", "--input", str(data), "--checkpoint", str(missing),
+        "--steps", "2", "--out-dir", str(tmp_path / "fc"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read checkpoint") and str(missing) in err
+
+
+def test_evaluate_reports_a_checkpoint_without_params(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    ckpt = tmp_path / "checkpoint.json"
+    config = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
+    save_checkpoint(ckpt, init_forecaster(config), config)
+    payload = json.loads(ckpt.read_text())
+    del payload["params"]
+    ckpt.write_text(json.dumps(payload))
+    assert run([
+        "evaluate", "--input", str(data), "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "ev"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and "'params'" in err
 
 
 def test_synth_gen_output_is_ingestable(tmp_path):

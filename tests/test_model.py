@@ -638,6 +638,26 @@ def test_checkpoint_version_1_loads_and_forecasts_bit_for_bit(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("drop, named", [
+    (("config",), "'config'"),
+    (("params",), "'params'"),
+    (("params", "full.gru.w", "shape"), "'full.gru.w' has no 'shape'"),
+    (("params", "quarter.gru.b", "data"), "'quarter.gru.b' has no 'data'"),
+])
+def test_checkpoint_missing_key_names_file_and_key(tmp_path, drop, named):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_forecaster(TINY), TINY)
+    payload = json.loads(path.read_text())
+    entry = payload
+    for key in drop[:-1]:
+        entry = entry[key]
+    del entry[drop[-1]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value) and named in str(exc.value)
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else"}')
