@@ -436,6 +436,24 @@ def _field(path, mapping, key: str, owner: str = "checkpoint"):
     return mapping[key]
 
 
+def _stored_array(path, name: str, entry) -> np.ndarray:
+    """One checkpoint entry as an array, or a ValueError naming the file,
+    the entry, its value count and its shape."""
+    data = _field(path, entry, "data", f"entry {name!r}")
+    shape = _field(path, entry, "shape", f"entry {name!r}")
+    count = len(data) if isinstance(data, list) else 1
+    try:
+        values = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{path}: entry {name!r} ({count} values, shape {shape}) holds a value that is not a number"
+        ) from None
+    try:
+        return values.reshape(shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: entry {name!r} has {count} values, which do not fit shape {shape}") from None
+
+
 def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -449,12 +467,7 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     except TypeError as err:
         raise ValueError(f"{path}: invalid config: {err}") from None
     params = init_forecaster(config)
-    stored = {
-        name: np.asarray(_field(path, entry, "data", f"entry {name!r}"), dtype=np.float64).reshape(
-            _field(path, entry, "shape", f"entry {name!r}")
-        )
-        for name, entry in _field(path, payload, "params").items()
-    }
+    stored = {name: _stored_array(path, name, entry) for name, entry in _field(path, payload, "params").items()}
     if version == 1:  # stack each stream's per-gate arrays, e.g. full.gru.w_{z,r,h} -> full.gru.w
         for prefix in ("full.gru", "half.gru", "quarter.gru"):
             for kind in ("w", "u", "b"):

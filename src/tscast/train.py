@@ -9,6 +9,7 @@ model seed, so identical inputs reproduce identical histories bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,16 +88,27 @@ def mse_loss(pred, target) -> Tensor:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's step count and its first and second moments.
+
+    Each moment is one flat float64 buffer over every parameter in order,
+    ``m_flat`` and ``v_flat``. ``m[i]`` and ``v[i]`` are views of parameter
+    ``i``'s slice of them, in its shape, so writing through a view writes
+    the buffer that ``adam_step`` updates.
+    """
+
+    shapes: list[tuple[int, ...]]
     step: int = 0
+
+    def __post_init__(self):
+        ends = np.cumsum([0, *(math.prod(s) for s in self.shapes)]).tolist()
+        self.spans = list(zip(ends[:-1], ends[1:]))
+        self.m_flat, self.v_flat = np.zeros(ends[-1]), np.zeros(ends[-1])
+        self.m = [self.m_flat[lo:hi].reshape(s) for (lo, hi), s in zip(self.spans, self.shapes)]
+        self.v = [self.v_flat[lo:hi].reshape(s) for (lo, hi), s in zip(self.spans, self.shapes)]
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros(p.shape) for p in params],
-            v=[np.zeros(p.shape) for p in params],
-        )
+        return cls([p.shape for p in params])
 
 
 def adam_step(
@@ -104,27 +116,49 @@ def adam_step(
 ) -> tuple[list[Tensor], AdamState]:
     """One bias-corrected Adam update, in place on the parameter tensors.
 
-    A non-finite gradient aborts the step before any parameter is touched;
+    The update is one pass over flat buffers: the gradients are
+    concatenated in parameter order, the moments update as whole buffers,
+    and each parameter takes its slice of the step. Every operation is the
+    elementwise one a per-tensor loop makes, in the same order, so the
+    parameters and moments come out bit for bit as from that loop.
+
+    A gradient whose shape is not its parameter's raises ``ValueError``. A
+    non-finite gradient aborts the step before any parameter is touched;
     the error gives the position of the first such parameter in ``params``.
     """
-    if len(grads) != len(params) or len(state.m) != len(params):
+    if len(grads) != len(params) or len(state.shapes) != len(params):
         raise ValueError("adam_step: params, grads and state are not aligned")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"adam_step: non-finite gradient for parameter {i} of {len(params)}, aborting the update"
+    for i, (p, g, shape) in enumerate(zip(params, grads, state.shapes)):
+        if np.shape(g) != p.shape or p.shape != shape:
+            raise ValueError(
+                f"adam_step: gradient {i} has shape {np.shape(g)}, its parameter {p.shape}"
+                f" and its Adam state {shape}"
             )
+    g = np.concatenate(grads, axis=None)
+    if not np.isfinite(g).all():
+        first = next(i for i, gi in enumerate(grads) if not np.isfinite(gi).all())
+        raise FloatingPointError(
+            f"adam_step: non-finite gradient for parameter {first} of {len(params)}, aborting the update"
+        )
 
     state.step += 1
     t = state.step
-    correct1 = 1.0 - BETA1**t
-    correct2 = 1.0 - BETA2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
-        m_hat = state.m[i] / correct1
-        v_hat = state.v[i] / correct2
-        p.values[...] = p.values - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    m, v = state.m_flat, state.v_flat
+    scratch = np.multiply(g, 1.0 - BETA1)
+    m *= BETA1
+    m += scratch  # (BETA1 * m) + ((1 - BETA1) * g)
+    np.multiply(g, 1.0 - BETA2, out=scratch)
+    scratch *= g
+    v *= BETA2
+    v += scratch  # (BETA2 * v) + (((1 - BETA2) * g) * g)
+    np.divide(v, 1.0 - BETA2**t, out=g)
+    np.sqrt(g, out=g)
+    g += EPS
+    np.divide(m, 1.0 - BETA1**t, out=scratch)
+    scratch *= hyper.learning_rate
+    scratch /= g  # ((m / c1) * lr) / (sqrt(v / c2) + EPS)
+    for p, (lo, hi) in zip(params, state.spans):
+        p.values -= scratch[lo:hi].reshape(p.shape)
     return params, state
 
 

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,40 @@ def test_evaluate_reports_a_checkpoint_without_params(tmp_path, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(ckpt) in err and "'params'" in err
+
+
+@pytest.mark.parametrize("field, value, says", [
+    ("shape", [5], "which do not fit shape [5]"),
+    ("data", ["x"] * 9, "holds a value that is not a number"),
+])
+def test_forecast_reports_a_checkpoint_entry_that_does_not_load(tmp_path, capsys, field, value, says):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    ckpt = tmp_path / "checkpoint.json"
+    config = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
+    save_checkpoint(ckpt, init_forecaster(config), config)
+    payload = json.loads(ckpt.read_text())
+    payload["params"]["full.gru.b"][field] = value
+    ckpt.write_text(json.dumps(payload))
+    assert run([
+        "forecast", "--input", str(data), "--checkpoint", str(ckpt),
+        "--steps", "2", "--out-dir", str(tmp_path / "fc"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: entry 'full.gru.b' ") and says in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", ["tscast", "tscast.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out_dir = tmp_path / "g"
+    done = subprocess.run(
+        [sys.executable, "-m", module, "synth-gen", "--n-series", "2", "--length", "50", "--out-dir", str(out_dir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (out_dir / "corpus.csv").is_file()
 
 
 def test_synth_gen_output_is_ingestable(tmp_path):

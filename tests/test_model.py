@@ -658,6 +658,22 @@ def test_checkpoint_missing_key_names_file_and_key(tmp_path, drop, named):
     assert str(path) in str(exc.value) and named in str(exc.value)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("shape", [5], "'full.gru.b' has 12 values, which do not fit shape [5]"),
+    ("data", ["x"] * 12, "'full.gru.b' (12 values, shape [12]) holds a value that is not a number"),
+])
+def test_checkpoint_entry_that_does_not_load_names_file_entry_count_and_shape(tmp_path, field, value, named):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_forecaster(TINY), TINY)
+    payload = json.loads(path.read_text())
+    assert payload["params"]["full.gru.b"]["shape"] == [12]  # 3 gates of gru_hidden=4
+    payload["params"]["full.gru.b"][field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: entry {named}"
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else"}')

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,72 @@ def test_adam_error_gives_the_parameter_position():
     state = AdamState.for_params(params)
     with pytest.raises(FloatingPointError, match="parameter 1 of 3"):
         adam_step(params, [np.zeros(1), np.array([np.inf]), np.zeros(1)], state, TrainConfig())
+
+
+def test_adam_rejects_a_gradient_shaped_unlike_its_parameter():
+    params = _toy_params([[1.0, 2.0], [1.0, 2.0, 3.0]])
+    state = AdamState.for_params(params)
+    before = [p.values.copy() for p in params]
+    with pytest.raises(ValueError, match=r"gradient 1 has shape \(1,\), its parameter \(3,\)"):
+        adam_step(params, [np.ones(2), np.ones(1)], state, TrainConfig())
+    assert all(np.array_equal(p.values, b) for p, b in zip(params, before))
+    assert state.step == 0
+
+
+def _ref_adam_step(params, grads, state, hyper):
+    """The per-tensor Adam loop that the fused step must match bit for bit."""
+    state.step += 1
+    t = state.step
+    correct1 = 1.0 - train.BETA1**t
+    correct2 = 1.0 - train.BETA2**t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = train.BETA1 * state.m[i] + (1.0 - train.BETA1) * g
+        state.v[i] = train.BETA2 * state.v[i] + (1.0 - train.BETA2) * g * g
+        m_hat = state.m[i] / correct1
+        v_hat = state.v[i] / correct2
+        p.values[...] = p.values - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + train.EPS)
+    return params, state
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+def test_adam_step_matches_the_per_tensor_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = [(3,), (2, 4), (4, 1, 5), (1,)]
+    start = [rng.normal(size=s) * 10.0 ** rng.uniform(-12, 0, size=s) * (rng.random(size=s) < 0.7) for s in shapes]
+    fused, ref = _toy_params([a.copy() for a in start]), _toy_params([a.copy() for a in start])
+    fused_state, ref_state = AdamState.for_params(fused), AdamState.for_params(ref)
+    hyper = TrainConfig(learning_rate=3e-3)
+    for _ in range(20):
+        grads = []
+        for s in shapes:
+            g = rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(-300, 150, size=s)
+            g[rng.random(size=s) < 0.15] = 0.0
+            g[rng.random(size=s) < 0.15] = -0.0
+            grads.append(g)
+        adam_step(fused, grads, fused_state, hyper)
+        _ref_adam_step(ref, [g.copy() for g in grads], ref_state, hyper)
+        assert _bits(p.values for p in fused) == _bits(p.values for p in ref)
+        assert _bits(fused_state.m) == _bits(ref_state.m)
+        assert _bits(fused_state.v) == _bits(ref_state.v)
+    assert fused_state.step == ref_state.step == 20
+
+
+def test_train_model_with_fused_adam_matches_the_per_tensor_loop(monkeypatch):
+    from tscast import synth
+
+    t = np.arange(200.0)
+    frame = SeriesFrame(["y"], (np.sin(0.3 * t) + 0.1 * np.cos(1.7 * t))[:, None])
+    windows = build_windows(frame, T=16, L=4)
+    model_config = synth.default_ablation_model_config()
+    train_config = replace(synth.default_ablation_train_config(), epochs=2)
+    fused = train_model(windows, model_config, train_config)
+    monkeypatch.setattr(train, "adam_step", _ref_adam_step)
+    ref = train_model(windows, model_config, train_config)
+    assert _bits(p.values for p in fused[0].parameters()) == _bits(p.values for p in ref[0].parameters())
+    assert fused[1] == ref[1]
 
 
 # ---------------------------------------------------------------------------
