@@ -38,14 +38,17 @@ print("full-resolution features:", features.shape)
 h = gru_encode(features, params.full.gru)
 print("encoded state:", h.shape)
 
+# The L per-step heads are one affine map stored side by side: head t owns
+# columns (t-1)*v .. t*v-1 of the stacked (3H, L*v) weight and (L*v,) bias.
+print("stacked heads:", params.heads.w.shape, params.heads.b.shape, "for L =", params.heads.L)
+
 prediction = forecast(window, params, config)
 print("forecast shape:", prediction.values.shape, "(L steps x v variables)")
 
 # The shortcut regresses each variable's last 5 values through shared
 # weights. With the heads zeroed the model IS the shortcut:
-for head in params.heads:
-    head.w.values[...] = 0.0
-    head.b.values[...] = 0.0
+params.heads.w.values[...] = 0.0
+params.heads.b.values[...] = 0.0
 only_shortcut = forecast(window, params, config).values
 shortcut_alone = ar_predict(batch, params.shortcut, config.ar_window).values[:, 0]
 print("heads zeroed -> forecast equals the shortcut:",

@@ -21,8 +21,8 @@ The operation set is deliberately small:
   write into buffers allocated once per call;
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid takes exp
   of -|x| only, so it never overflows, and needs no select on the sign);
-- the shape and reduction helpers concat, stack, transpose, reshape and
-  mean_all.
+- the shape and reduction helpers concat, stack, transpose (any axis
+  permutation), reshape and mean_all.
 
 Everything is computed in double precision with a fixed summation order,
 so that identical inputs give bit-identical values and gradients at a
@@ -118,9 +118,12 @@ class Tensor:
     __slots__ = ("values", "grad", "node", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim > 0 and not v.flags["C_CONTIGUOUS"]:
-            v = np.ascontiguousarray(v)  # row-major storage; keeps 0-d scalars 0-d
+        v = values
+        # an op's own result is usually stored as it is: skip the conversions
+        if type(v) is not np.ndarray or v.dtype != np.float64 or not v.flags.c_contiguous:
+            v = np.asarray(values, dtype=np.float64)
+            if v.ndim > 0 and not v.flags["C_CONTIGUOUS"]:
+                v = np.ascontiguousarray(v)  # row-major storage; keeps 0-d scalars 0-d
         self.values = v
         self.grad: np.ndarray | None = None
         self.node: weakref.ref | None = None
@@ -200,10 +203,11 @@ def _record(out: Tensor, inputs: tuple, grad_fn) -> Tensor:
 
 def _operands(name: str, a, b) -> tuple[Tensor, Tensor]:
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    if a.shape != b.shape:
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
     return a, b
 
 
@@ -420,7 +424,8 @@ def gru_sequence(x, w, u, b) -> Tensor:
     proj = proj.reshape(t_len, n, 3 * hidden)
 
     # Per step: the state entering it, the gates [z, r], r * h and the
-    # candidate. Without a tape only the latest step is held.
+    # candidate. Without a tape only the latest step is held, and the state
+    # alternates between two rows.
     depth = t_len if keep else 1
     hs = np.zeros((depth + 1, n, hidden))
     zrs = np.empty((depth, n, 2 * hidden))
@@ -429,7 +434,8 @@ def gru_sequence(x, w, u, b) -> Tensor:
     e = np.empty((n, 2 * hidden))  # sigmoid scratch
     for t in range(t_len):
         i = t if keep else 0
-        h, zr, rh, cand = hs[i], zrs[i], rhs[i], cands[i]
+        src, dst = (t, t + 1) if keep else (t % 2, (t + 1) % 2)
+        h, zr, rh, cand = hs[src], zrs[i], rhs[i], cands[i]
         np.matmul(h, u_zr.T, out=zr)
         zr += proj[t, :, : 2 * hidden]
         _sigmoid(zr, zr, e)
@@ -438,13 +444,11 @@ def gru_sequence(x, w, u, b) -> Tensor:
         np.matmul(rh, u_h.T, out=cand)
         cand += proj[t, :, 2 * hidden :]
         np.tanh(cand, out=cand)
-        h_next = hs[i + 1]
+        h_next = hs[dst]
         np.subtract(cand, h, out=h_next)
         h_next *= z
         h_next += h  # h + z * (cand - h)
-        if not keep:
-            hs[0] = h_next
-    out = Tensor(hs[-1])
+    out = Tensor(hs[t_len if keep else t_len % 2])
 
     def grad_fn(g, needs):
         da = np.empty((t_len, n, 3 * hidden))  # gradient of the gate pre-activations
@@ -528,8 +532,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat: no tensors")
     out = Tensor(np.concatenate([t.values for t in tensors], axis=axis))
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.values.shape[axis])
 
     def grad_fn(g, needs):
         pieces = []
@@ -558,14 +563,28 @@ def stack(tensors) -> Tensor:
     return _record(out, tuple(tensors), grad_fn)
 
 
-def transpose(x) -> Tensor:
+def transpose(x, axes=None) -> Tensor:
+    """Permute the axes of ``x`` as ``np.transpose`` does, into a
+    row-major copy.
+
+    Without ``axes`` the input must be a matrix, and its two axes swap.
+    With ``axes``, a permutation of ``range(x.ndim)``, output axis i is
+    input axis ``axes[i]``; the gradient is permuted back by the inverse
+    permutation.
+    """
     x = _as_tensor(x)
-    if x.values.ndim != 2:
-        raise DimensionError(f"transpose: expected a matrix, got shape {x.shape}")
-    out = Tensor(x.values.T.copy())
+    if axes is None:
+        if x.values.ndim != 2:
+            raise DimensionError(f"transpose: expected a matrix, got shape {x.shape}")
+        axes = (1, 0)
+    elif sorted(axes) != list(range(x.values.ndim)):
+        raise DimensionError(f"transpose: axes {tuple(axes)} do not permute the axes of shape {x.shape}")
+    axes = tuple(axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    out = Tensor(x.values.transpose(axes).copy())
 
     def grad_fn(g, needs):
-        return (g.T,) if needs[0] else (None,)
+        return (g.transpose(inverse),) if needs[0] else (None,)
 
     return _record(out, (x,), grad_fn)
 

@@ -1,8 +1,9 @@
 """The hybrid forecaster: three resolution streams (two causal conv layers
 plus a GRU encoder each), one linear output head per horizon step over the
-concatenated final hidden states, and a linear autoregressive shortcut on
-the most recent inputs, shared across variables. The network output and
-the shortcut output are summed.
+concatenated final hidden states (all heads stored side by side as one
+affine map), and a linear autoregressive shortcut on the most recent
+inputs, shared across variables. The network output and the shortcut
+output are summed.
 
 Parameters live in small dataclasses of autodiff Tensors. The forward
 pass has one implementation, :func:`forecast_batch`, over a batch of
@@ -37,7 +38,6 @@ __all__ = [
     "forecast",
     "forecast_batch",
     "gru_encode",
-    "gru_step",
     "head_predict",
     "init_forecaster",
     "load_checkpoint",
@@ -113,8 +113,15 @@ class StreamParams:
 
 @dataclass
 class HeadParams:
-    w: Tensor  # (3H, v)
-    b: Tensor  # (v,)
+    """The L per-step output heads, stacked by columns into one affine map.
+
+    Head t (1-based) maps the (3H,) concatenated state to output step t
+    through columns (t - 1) * v ... t * v - 1 of ``w`` and ``b``.
+    """
+
+    w: Tensor  # (3H, L * v)
+    b: Tensor  # (L * v,)
+    L: int  # number of heads
 
 
 @dataclass
@@ -128,7 +135,7 @@ class ForecasterParams:
     full: StreamParams
     half: StreamParams
     quarter: StreamParams
-    heads: list[HeadParams]
+    heads: HeadParams
     shortcut: ShortcutParams | None
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -141,9 +148,8 @@ class ForecasterParams:
             out.append((f"{stream_name}.conv2_b", stream.conv2_b))
             for kind in ("w", "u", "b"):
                 out.append((f"{stream_name}.gru.{kind}", getattr(stream.gru, kind)))
-        for i, head in enumerate(self.heads, start=1):
-            out.append((f"head_{i}.w", head.w))
-            out.append((f"head_{i}.b", head.b))
+        out.append(("heads.w", self.heads.w))
+        out.append(("heads.b", self.heads.b))
         if self.shortcut is not None:
             out.append(("ar.w", self.shortcut.w))
             out.append(("ar.b", self.shortcut.b))
@@ -203,10 +209,11 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
             gru=GruParams(w=w, u=u, b=_zeros(3 * h)),
         )
 
-    heads = [
-        HeadParams(w=_glorot(rng, (3 * h, v), fan_in=3 * h, fan_out=v), b=_zeros(v))
-        for _ in range(config.L)
-    ]
+    # each step's (3H, v) head drawn in turn with its own fans, then stacked by columns
+    head_ws = [_glorot(rng, (3 * h, v), fan_in=3 * h, fan_out=v).values for _ in range(config.L)]
+    heads = HeadParams(
+        w=Tensor(np.concatenate(head_ws, axis=1), requires_grad=True), b=_zeros(config.L * v), L=config.L
+    )
     shortcut = None
     if config.use_ar_shortcut:
         shortcut = ShortcutParams(
@@ -244,58 +251,31 @@ def conv_features(x, stream: StreamParams) -> Tensor:
     return ad.relu(ad.causal_conv1d(q, stream.conv2_w, stream.conv2_b))
 
 
-def gru_step(h, x, gru: GruParams) -> Tensor:
-    """One GRU recurrence step, the reference :func:`gru_encode` is tested
-    against.
-
-    z = sigmoid(W_z x + U_z h + b_z)
-    r = sigmoid(W_r x + U_r h + b_r)
-    cand = tanh(W_h x + U_h (r * h) + b_h)
-    h' = (1 - z) * h + z * cand
-
-    where W_z, W_r, W_h are the row blocks of ``gru.w``, and likewise for
-    U and b. ``h`` is (B, H) and ``x`` is (B, C), one row per sequence, or
-    (H,) and (C,) for a single sequence. Each gate's columns are picked out
-    of the stacked products ``x wᵀ + b`` and ``h uᵀ`` by products with
-    identity columns, which are exact.
-    """
-    if not isinstance(h, Tensor):
-        h = constant(h)
-    if not isinstance(x, Tensor):
-        x = constant(x)
-    pick_z, pick_r, pick_h = (constant(c) for c in np.split(np.eye(gru.u.shape[0]), 3, axis=1))
-    u_t = ad.transpose(gru.u)
-    xw = x @ ad.transpose(gru.w) + gru.b  # (B, 3H)
-    hu = h @ u_t
-    z = ad.sigmoid(xw @ pick_z + hu @ pick_z)
-    r = ad.sigmoid(xw @ pick_r + hu @ pick_r)
-    cand = ad.tanh(xw @ pick_h + (r * h) @ u_t @ pick_h)
-    return (1.0 - z) * h + z * cand
-
-
 def gru_encode(g_seq, gru: GruParams) -> Tensor:
     """Run the GRU over (B, C, T_r) feature sequences from a zero state;
     return the final hidden states as (B, H).
 
     This is one :func:`autodiff.gru_sequence` record on the stacked
-    weights as stored, with no per-call copy; the result equals composing
-    :func:`gru_step` over the sequence up to rounding.
+    weights as stored, with no per-call copy.
     """
     return ad.gru_sequence(g_seq, gru.w, gru.u, gru.b)
 
 
-def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, heads: list[HeadParams]) -> Tensor:
+def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, heads: HeadParams) -> Tensor:
     """Affine map of [h, h', h''] through each output step's own head.
 
-    The states are (B, H) each, concatenated once into (B, 3H); the
-    result is (L, B, v), and row t - 1 of it is output step t.
+    The states are (B, H) each, concatenated once into (B, 3H) and mapped
+    through all L heads by one product with the stacked (3H, L * v)
+    weight; the result is (L, B, v), and row t - 1 of it is output step t.
+    That is five tape records at any L.
     """
     states = (h_full, h_half, h_quarter)
     shapes = [np.shape(h) for h in states]
     if any(len(shape) != 2 for shape in shapes):
         raise ValueError(f"head_predict: expected states (B, H), got {shapes}")
     cat = ad.concat(states, axis=1)
-    return ad.stack([cat @ head.w + head.b for head in heads])
+    flat = cat @ heads.w + heads.b  # (B, L * v)
+    return ad.transpose(ad.reshape(flat, (flat.shape[0], heads.L, -1)), (1, 0, 2))
 
 
 def ar_predict(windows, shortcut: ShortcutParams, ar_window: int) -> Tensor:
@@ -411,22 +391,36 @@ def save_checkpoint(path, params: ForecasterParams, config: ForecasterConfig) ->
 
     Floats are serialized with shortest round-trip repr, so values survive
     a save/load cycle bit-exactly and re-saving a loaded checkpoint
-    reproduces the file byte for byte. This always writes version 2;
-    :func:`load_checkpoint` also reads version 1, which stored each GRU
-    as nine per-gate arrays.
+    reproduces the file byte for byte. This always writes version 2,
+    which stores head t as its own entries ``head_t.w`` (3H, v) and
+    ``head_t.b`` (v,); :func:`load_checkpoint` also reads version 1, which
+    stored each GRU as nine per-gate arrays.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "params": {
-            name: {"shape": list(t.shape), "data": t.values.reshape(-1).tolist()}
-            for name, t in params.named_parameters()
+            name: {"shape": list(a.shape), "data": a.reshape(-1).tolist()}
+            for name, a in _checkpoint_entries(params)
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def _checkpoint_entries(params: ForecasterParams) -> list[tuple[str, np.ndarray]]:
+    """Each checkpoint entry's name and a view of the values it holds: the
+    parameters by name, except that the stacked heads split by columns
+    into one ``head_t.w``/``head_t.b`` pair per output step t."""
+    heads = params.heads
+    w = heads.w.values.reshape(heads.w.shape[0], heads.L, -1)  # (3H, L, v)
+    b = heads.b.values.reshape(heads.L, -1)
+    entries = [(name, t.values) for name, t in params.named_parameters() if not name.startswith("heads.")]
+    for i in range(heads.L):
+        entries += [(f"head_{i + 1}.w", w[:, i]), (f"head_{i + 1}.b", b[i])]
+    return entries
 
 
 def _field(path, mapping, key: str, owner: str = "checkpoint"):
@@ -474,11 +468,11 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
                 gates = [f"{prefix}.{kind}_{gate}" for gate in "zrh"]
                 if all(name in stored for name in gates):
                     stored[f"{prefix}.{kind}"] = np.concatenate([stored.pop(name) for name in gates])
-    expected = [name for name, _ in params.named_parameters()]
-    if sorted(stored) != sorted(expected):
+    entries = _checkpoint_entries(params)
+    if sorted(stored) != sorted(name for name, _ in entries):
         raise ValueError(f"{path}: checkpoint parameter names do not match the config")
-    for name, tensor in params.named_parameters():
-        if stored[name].shape != tensor.shape:
+    for name, view in entries:
+        if stored[name].shape != view.shape:
             raise ValueError(f"{path}: shape mismatch for {name}")
-        tensor.values[...] = stored[name]
+        view[...] = stored[name]
     return params, config

@@ -174,9 +174,8 @@ def test_criterion_4_ar_exactness():
         # (a) heads zeroed, shortcut set to exact extrapolation weights
         config = ForecasterConfig(v=2, T=8, L=3, n_filters=2, kernel_size=3, gru_hidden=3, seed=1)
         params = init_forecaster(config)
-        for head in params.heads:
-            head.w.values[...] = 0.0
-            head.b.values[...] = 0.0
+        params.heads.w.values[...] = 0.0
+        params.heads.b.values[...] = 0.0
         w = np.zeros((config.ar_window, config.L))
         for t in range(1, config.L + 1):
             w[-1, t - 1] = 1.0 + t  # s_{T+t} = (1+t) s_T - t s_{T-1}

@@ -484,6 +484,28 @@ def test_elementwise_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError) as exc:
         constant(np.zeros((2, 3))) + constant(np.zeros(4))
     assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
+    for op in (ad.add, ad.sub, ad.mul):  # same rank, same size, no broadcast
+        with pytest.raises(DimensionError) as exc:
+            op(Tensor(np.zeros((2, 3)), requires_grad=True), constant(np.zeros((3, 2))))
+        assert str(exc.value) == f"{op.__name__}: shapes (2, 3) and (3, 2) do not broadcast"
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(12.0).reshape(3, 4).T,  # Fortran-ordered view
+    np.arange(12.0)[::2],  # strided view
+    np.arange(6).reshape(2, 3),  # integers
+    [[1, 2], [3, 4]],
+    np.float32(2.5),
+])
+def test_tensor_stores_c_contiguous_float64(values):
+    t = Tensor(values)
+    assert t.values.dtype == np.float64 and t.values.flags["C_CONTIGUOUS"]
+    assert np.array_equal(t.values, np.asarray(values, dtype=np.float64))
+
+
+def test_tensor_keeps_a_c_contiguous_float64_array_as_is():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor(a).values is a
 
 
 def test_grad_shape_ops():
@@ -506,7 +528,26 @@ def test_grad_shape_ops():
     r7 = _proj((24,))
     _check_op(lambda: mean_all(ad.reshape(m, (24,)) * r7), [m])
 
+    c = _param(2, 3, 4)
+    for axes in [(1, 0, 2), (2, 0, 1), (1, 2, 0)]:
+        r8 = _proj(tuple(c.shape[i] for i in axes))
+        _check_op(lambda axes=axes, r8=r8: mean_all(ad.transpose(c, axes) * r8), [c])
+
     _check_op(lambda: mean_all(m), [m])
+
+
+def test_transpose_axes_follows_numpy():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    out = ad.transpose(constant(x), (2, 0, 1)).values
+    assert np.array_equal(out, np.transpose(x, (2, 0, 1))) and out.flags["C_CONTIGUOUS"]
+
+
+def test_transpose_rejects_bad_axes():
+    with pytest.raises(DimensionError, match="expected a matrix"):
+        ad.transpose(constant(np.zeros((2, 3, 4))))
+    for axes in [(0, 1), (0, 1, 1), (0, 1, 3)]:
+        with pytest.raises(DimensionError, match="do not permute"):
+            ad.transpose(constant(np.zeros((2, 3, 4))), axes)
 
 
 # ---------------------------------------------------------------------------

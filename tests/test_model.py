@@ -17,7 +17,6 @@ from tscast.model import (
     forecast,
     forecast_batch,
     gru_encode,
-    gru_step,
     head_predict,
     init_forecaster,
     load_checkpoint,
@@ -26,6 +25,7 @@ from tscast.model import (
     save_checkpoint,
 )
 from tscast.preprocess import ForecastWindow
+from tscast.synth import default_ablation_model_config
 from tscast.train import predict_windows
 
 from _checks import gradcheck
@@ -66,8 +66,14 @@ def test_init_biases_zero_and_weights_bounded():
         if name.endswith("_b") or name.endswith(".b"):
             assert np.array_equal(t.values, np.zeros(t.shape)), name
             continue
-        # a GRU weight stacks one block per gate (z, r, h), each drawn with its own fans
-        for block in np.split(t.values, 3) if ".gru." in name else [t.values]:
+        # a GRU weight stacks one block per gate (z, r, h) by rows, the heads one
+        # block per output step by columns, each block drawn with its own fans
+        blocks = [t.values]
+        if ".gru." in name:
+            blocks = np.split(t.values, 3)
+        elif name == "heads.w":
+            blocks = np.split(t.values, TINY.L, axis=1)
+        for block in blocks:
             fan_in, fan_out = _fans(name, block)
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.max(np.abs(block)) <= bound, name
@@ -93,6 +99,14 @@ def test_each_gru_is_three_stacked_tensors():
     assert names[4:7] == ["full.gru.w", "full.gru.u", "full.gru.b"]
     gru = params.full.gru
     assert (gru.w.shape, gru.u.shape, gru.b.shape) == ((192, 32), (192, 64), (192,))
+
+
+def test_heads_are_one_stacked_tensor_pair():
+    config = default_ablation_model_config()  # L=4 heads of H=8 states, v=1
+    params = init_forecaster(config)
+    assert len(params.parameters()) == 25  # 21 stream tensors, the heads' w and b, the shortcut
+    assert [name for name, _ in params.named_parameters()][21:23] == ["heads.w", "heads.b"]
+    assert (params.heads.w.shape, params.heads.b.shape, params.heads.L) == ((24, 4), (4,), 4)
 
 
 def test_parameter_count_matches_formula():
@@ -173,6 +187,35 @@ def test_conv_features_causality_probe():
 
 # ---------------------------------------------------------------------------
 # GRU
+
+
+def gru_step(h, x, gru: GruParams) -> Tensor:
+    """One GRU recurrence step, the reference :func:`gru_encode` is tested
+    against.
+
+    z = sigmoid(W_z x + U_z h + b_z)
+    r = sigmoid(W_r x + U_r h + b_r)
+    cand = tanh(W_h x + U_h (r * h) + b_h)
+    h' = (1 - z) * h + z * cand
+
+    where W_z, W_r, W_h are the row blocks of ``gru.w``, and likewise for
+    U and b. ``h`` is (B, H) and ``x`` is (B, C), one row per sequence, or
+    (H,) and (C,) for a single sequence. Each gate's columns are picked out
+    of the stacked products ``x wᵀ + b`` and ``h uᵀ`` by products with
+    identity columns, which are exact.
+    """
+    if not isinstance(h, Tensor):
+        h = constant(h)
+    if not isinstance(x, Tensor):
+        x = constant(x)
+    pick_z, pick_r, pick_h = (constant(c) for c in np.split(np.eye(gru.u.shape[0]), 3, axis=1))
+    u_t = ad.transpose(gru.u)
+    xw = x @ ad.transpose(gru.w) + gru.b  # (B, 3H)
+    hu = h @ u_t
+    z = ad.sigmoid(xw @ pick_z + hu @ pick_z)
+    r = ad.sigmoid(xw @ pick_r + hu @ pick_r)
+    cand = ad.tanh(xw @ pick_h + (r * h) @ u_t @ pick_h)
+    return (1.0 - z) * h + z * cand
 
 
 def test_gru_step_zero_params_hand_value():
@@ -293,8 +336,8 @@ def test_gru_encode_rejects_empty():
 
 def test_head_predict_zero_weights_returns_bias():
     params = init_forecaster(TINY)
-    params.heads[0].w.values[...] = 0.0
-    params.heads[0].b.values[...] = [1.5, -2.5]
+    params.heads.w.values[:, 0:2] = 0.0  # head 1 owns columns 0 and 1
+    params.heads.b.values[0:2] = [1.5, -2.5]
     h = [constant(np.random.default_rng(8).normal(size=(1, 4))) for _ in range(3)]
     out = head_predict(h[0], h[1], h[2], params.heads)
     assert np.array_equal(out.values[0, 0], [1.5, -2.5])
@@ -305,7 +348,7 @@ def test_head_isolation():
     rng = np.random.default_rng(9)
     h = [constant(rng.normal(size=(2, 4))) for _ in range(3)]
     before = head_predict(h[0], h[1], h[2], params.heads).values[1].copy()
-    params.heads[0].w.values[...] = rng.normal(size=(12, 2))
+    params.heads.w.values[:, 0:2] = rng.normal(size=(12, 2))  # head 1 only
     after = head_predict(h[0], h[1], h[2], params.heads).values[1]
     assert np.array_equal(before, after)
 
@@ -316,11 +359,25 @@ def test_head_permutation_equivariance():
     h = [constant(rng.normal(size=(2, 4))) for _ in range(3)]
     base = head_predict(h[0], h[1], h[2], params.heads).values[0].copy()
 
-    w = params.heads[0].w.values
+    w = params.heads.w.values[:, 0:2]  # head 1
     permuted = np.concatenate([w[4:8], w[0:4], w[8:12]], axis=0)
-    swapped = [HeadParams(w=Tensor(permuted, requires_grad=True), b=params.heads[0].b)]
+    swapped = HeadParams(w=Tensor(permuted, requires_grad=True), b=Tensor(params.heads.b.values[0:2]), L=1)
     out = head_predict(h[1], h[0], h[2], swapped).values
     assert np.allclose(out[0], base, atol=1e-14)
+
+
+def test_stacked_head_rows_equal_per_head_products():
+    config = ForecasterConfig(v=2, T=8, L=3, n_filters=2, kernel_size=3, gru_hidden=4, seed=24)
+    params = init_forecaster(config)
+    _generic_point(params, np.random.default_rng(24))
+    h = np.random.default_rng(25).normal(size=(3, 5, 4))  # three (B, H) states
+    out = head_predict(constant(h[0]), constant(h[1]), constant(h[2]), params.heads).values
+    assert out.shape == (3, 5, 2)
+    cat = np.concatenate(h, axis=1)
+    w, b = params.heads.w.values, params.heads.b.values
+    for t in range(1, 4):
+        cols = slice((t - 1) * 2, t * 2)
+        assert np.max(np.abs(out[t - 1] - (cat @ w[:, cols] + b[cols]))) <= 1e-15
 
 
 def test_head_predict_rejects_unbatched_states():
@@ -382,9 +439,8 @@ def test_ar_predict_rejects_unbatched_window(shape):
 
 def test_forecast_zero_heads_equals_ar_path():
     params = init_forecaster(TINY)
-    for head in params.heads:
-        head.w.values[...] = 0.0
-        head.b.values[...] = 0.0
+    params.heads.w.values[...] = 0.0
+    params.heads.b.values[...] = 0.0
     window = np.random.default_rng(12).normal(size=(8, 2))
     pred = forecast(window, params, TINY).values
     ar = ar_predict(window[None], params.shortcut, TINY.ar_window).values[:, 0]
@@ -474,9 +530,8 @@ def test_ar_exactness_on_affine_series():
     # heads zeroed, shortcut set to the exact linear-extrapolation weights
     config = ForecasterConfig(v=1, T=8, L=3, n_filters=2, kernel_size=3, gru_hidden=2)
     params = init_forecaster(config)
-    for head in params.heads:
-        head.w.values[...] = 0.0
-        head.b.values[...] = 0.0
+    params.heads.w.values[...] = 0.0
+    params.heads.b.values[...] = 0.0
     w = np.zeros((5, 3))
     for t in range(1, 4):  # s_{T+t} = (1+t) s_T - t s_{T-1} for affine series
         w[4, t - 1] = 1.0 + t
@@ -636,6 +691,25 @@ def test_checkpoint_version_1_loads_and_forecasts_bit_for_bit(tmp_path):
     assert json.loads(path.read_text())["version"] == 2
     save_checkpoint(path2, *load_checkpoint(path))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_version_2_with_three_heads_loads_forecasts_and_resaves(tmp_path):
+    # written before the heads were stacked, one head_t.w/head_t.b pair per step
+    path = DATA / "checkpoint_v2_L3.json"
+    stored = json.loads(path.read_text())
+    reference = json.loads((DATA / "checkpoint_v2_L3_forecast.json").read_text())
+    assert stored["version"] == 2 and stored["config"]["L"] == 3
+    params, config = load_checkpoint(path)
+    pred = forecast(np.array(reference["window"]), params, config).values
+    assert np.max(np.abs(pred.reshape(-1) - reference["forecast"])) <= 1e-12
+    for t in range(1, 4):
+        entry = stored["params"][f"head_{t}.w"]
+        block = params.heads.w.values[:, (t - 1) * 2 : t * 2]
+        assert np.array_equal(block, np.reshape(entry["data"], entry["shape"]))
+
+    again = tmp_path / "again.json"
+    save_checkpoint(again, params, config)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("drop, named", [

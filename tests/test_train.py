@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tscast import train
-from tscast.autodiff import Tensor
-from tscast.model import ForecasterConfig, forecast, init_forecaster
+from tscast.autodiff import Tape, Tensor, backward
+from tscast.model import ForecasterConfig, forecast, forecast_batch, init_forecaster
 from tscast.preprocess import SeriesFrame, build_windows
+from tscast.synth import default_ablation_model_config
 from tscast.train import (
     AdamState,
     EvalReport,
@@ -331,15 +332,27 @@ def test_eval_report_zero_error_aggregates():
     assert report.std("mse") == 0.0
 
 
+@pytest.mark.parametrize("config", [ForecasterConfig(v=1), default_ablation_model_config()])
+def test_train_step_record_budget(config):
+    # conv, relu, conv, relu and GRU per stream; five for the heads; five for
+    # the shortcut; the sum; the loss's sub, mul and mean
+    params = init_forecaster(config)
+    rng = np.random.default_rng(0)
+    windows = rng.normal(size=(4, config.T, config.v))
+    with Tape() as tape:
+        loss = mse_loss(forecast_batch(windows, params, config), rng.normal(size=(config.L, 4, config.v)))
+        backward(loss)
+    assert len(tape) <= 29
+
+
 # ---------------------------------------------------------------------------
 # sliding forecast
 
 
 def _persistence_params(config):
     params = init_forecaster(config)
-    for head in params.heads:
-        head.w.values[...] = 0.0
-        head.b.values[...] = 0.0
+    params.heads.w.values[...] = 0.0
+    params.heads.b.values[...] = 0.0
     params.shortcut.w.values[...] = 0.0
     params.shortcut.w.values[-1, :] = 1.0  # repeat the last observation
     params.shortcut.b.values[...] = 0.0
