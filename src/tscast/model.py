@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import autodiff as ad
 from .autodiff import Tensor, constant
@@ -352,7 +351,13 @@ def ridge_fit(X, y, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
     Solves (X'X + lam I) w = X'y by Cholesky factorization; the intercept
     restores the means. lam=0 requires X'X to be invertible.
+
+    scipy is imported here and not at module level: nothing else in the
+    package uses it, and loading ``scipy.linalg`` takes most of the time
+    ``import tscast`` would otherwise take.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -405,9 +410,9 @@ def save_checkpoint(path, params: ForecasterParams, config: ForecasterConfig) ->
             for name, a in _checkpoint_entries(params)
         },
     }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _checkpoint_entries(params: ForecasterParams) -> list[tuple[str, np.ndarray]]:
