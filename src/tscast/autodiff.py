@@ -653,7 +653,8 @@ def backward(loss: Tensor) -> None:
                 grads[key] = gi
 
     for t in touched:
-        t.grad = grads.get(id(t), np.zeros(t.shape))
+        g = grads.get(id(t))
+        t.grad = np.zeros(t.shape) if g is None else g
 
 
 def finite_diff_grad(f, theta, eps: float) -> np.ndarray:

@@ -340,6 +340,8 @@ def _cmd_crossval(args) -> int:
     if "L" in _load_config_file(args.config).get("model", {}):
         # cross_validate sets L itself: 1, then each of --horizons
         raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
+    if args.radius < 0:
+        raise CliError(f"--radius must be >= 0, got {args.radius}")
     horizons = tuple(_int_list("--horizons", args.horizons))
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)

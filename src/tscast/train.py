@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, constant, mean_all
-from .metrics import dtw_multivariate, mae_metric
+from .metrics import check_radius, dtw_multivariate, mae_metric
 from .model import ForecasterConfig, ForecasterParams, forecast, forecast_batch, init_forecaster
 from .preprocess import ForecastWindow, SeriesFrame, blocked_kfold, build_windows
 
@@ -290,8 +290,10 @@ def cross_validate(
     Per fold, a fresh model is trained on the train windows and scored on
     the test block: MSE and MAE at horizon 1, plus — for each requested
     multi-step horizon — FastDTW between the predicted and true paths,
-    using a model trained with that many output heads.
+    using a model trained with that many output heads. A bad ``dtw_radius``
+    is rejected before any training.
     """
+    check_radius(dtw_radius)
     metrics: dict[str, list[float]] = {"mse": [], "mae": []}
 
     def fold_predictions(horizon: int):

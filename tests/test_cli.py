@@ -320,6 +320,15 @@ def test_crossval_rejects_a_horizon_that_is_not_an_integer(tmp_path, capsys):
     assert not (tmp_path / "cv").exists()
 
 
+def test_crossval_rejects_a_negative_radius(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data)
+    code = run(["crossval", "--input", str(data), "--radius", "-1", "--out-dir", str(tmp_path / "cv")])
+    assert code == 1
+    assert "--radius must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
 def test_crossval_rejects_a_config_horizon(tmp_path, capsys):
     # a model.L would land in the manifest and change no metric
     data = tmp_path / "data.csv"

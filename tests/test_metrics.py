@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tscast import metrics
 from tscast.metrics import (
+    ROW_SWEEP_CELLS,
+    _dtw_diagonals,
+    _dtw_rows,
     _expand_window,
+    _fastdtw,
     _halve,
     dtw_bruteforce,
     dtw_exact,
@@ -76,12 +81,12 @@ def _ref_fastdtw(a, b, radius):
     return _ref_dtw_window(a, b, _ref_expand_window(coarse_path, a.size, b.size, radius))
 
 
-def _tied_pairs(seed, count):
-    """Random pairs of lengths 1-40, rounded so that equal-cost
-    predecessors (ties) are common."""
+def _tied_pairs(seed, count, shortest=1, longest=40):
+    """Random pairs of lengths shortest-longest, rounded so that
+    equal-cost predecessors (ties) are common."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n, m = rng.integers(1, 41, size=2)
+        n, m = rng.integers(shortest, longest + 1, size=2)
         digits = int(rng.integers(0, 3))
         yield np.round(rng.normal(size=n) * 2, digits), np.round(rng.normal(size=m) * 2, digits)
 
@@ -168,6 +173,62 @@ def test_fastdtw_equals_reference_bit_for_bit():
     for a, b in _tied_pairs(12, 150):
         for radius in (0, 1, 2, max(a.size, b.size)):
             assert fastdtw(a, b, radius) == _ref_fastdtw(a, b, radius)[0]
+
+
+def _sweep_windows(seed, count):
+    """(a, b, lo, hi, reference cells) for full matrices and the FastDTW
+    bands of radius 0-2 projected from the exact coarse path."""
+    for a, b in _tied_pairs(seed, count, longest=60):
+        yield a, b, 0, b.size - 1, [(i, j) for i in range(a.size) for j in range(b.size)]
+        _, coarse_path = dtw_exact_path(_halve(a), _halve(b))
+        for radius in (0, 1, 2):
+            lo, hi = _expand_window(coarse_path, a.size, b.size, radius)
+            yield a, b, lo, hi, _ref_expand_window(coarse_path, a.size, b.size, radius)
+
+
+def test_row_and_diagonal_sweeps_equal_the_reference():
+    wide = narrow = 0
+    for a, b, lo, hi, cells in _sweep_windows(15, 60):
+        ref_cost, ref_path = _ref_dtw_window(a, b, cells)
+        for sweep in (_dtw_rows, _dtw_diagonals):
+            assert sweep(a, b, lo, hi, with_path=True) == (ref_cost, ref_path)
+            assert sweep(a, b, lo, hi, with_path=False) == (ref_cost, None)
+        if len(cells) > ROW_SWEEP_CELLS * (a.size + b.size - 1):
+            wide += 1
+        else:
+            narrow += 1
+    # windows on both sides of the choice _dtw_window makes
+    assert wide >= 10 and narrow >= 100
+
+
+def test_fastdtw_equals_reference_bit_for_bit_on_long_pairs():
+    # 60-200 points recurse through five to eight levels, as the 100-point pairs do
+    for a, b in _tied_pairs(16, 8, shortest=60, longest=200):
+        for radius in (0, 1, 2):
+            ref_cost, ref_path = _ref_fastdtw(a, b, radius)
+            assert fastdtw(a, b, radius) == ref_cost
+            assert _fastdtw(a, b, radius, with_path=True) == (ref_cost, ref_path)
+
+
+def test_dtw_window_picks_the_sweep_by_cells_per_diagonal(monkeypatch):
+    calls = []
+
+    def spy(sweep):
+        def run(a, b, lo, hi, with_path):
+            calls.append((sweep.__name__, a.size, b.size))
+            return sweep(a, b, lo, hi, with_path)
+
+        return run
+
+    monkeypatch.setattr(metrics, "_dtw_rows", spy(_dtw_rows))
+    monkeypatch.setattr(metrics, "_dtw_diagonals", spy(_dtw_diagonals))
+    a, b = np.cumsum(np.random.default_rng(17).normal(size=(2, 100)), axis=1)
+    dtw_exact(a, b)
+    assert calls == [("_dtw_diagonals", 100, 100)]
+    calls.clear()
+    fastdtw(a, b, 1)
+    # the last call is the top level, 100 by 100 in a band of radius 1
+    assert calls[-1] == ("_dtw_rows", 100, 100)
 
 
 def test_expand_window_covers_the_reference_cells():
@@ -314,6 +375,13 @@ def test_fastdtw_radius_monotone_on_corpus():
 def test_fastdtw_rejects_negative_radius():
     with pytest.raises(ValueError):
         fastdtw([1.0, 2.0], [1.0], -1)
+    for radius in (1.5, "1", None, True):
+        with pytest.raises(ValueError, match=r"^radius must be an integer >= 0, got "):
+            fastdtw([1.0, 2.0], [1.0], radius)
+    for radius in (-1, 1.5, "1"):
+        with pytest.raises(ValueError, match="^radius must be"):
+            dtw_multivariate(np.zeros((3, 1)), np.zeros((3, 1)), radius)
+    assert fastdtw([1.0, 2.0], [1.0], np.int64(1)) == fastdtw([1.0, 2.0], [1.0], 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -326,6 +326,17 @@ def test_cross_validate_deterministic():
     assert a.metrics == b.metrics
 
 
+def test_cross_validate_rejects_a_bad_radius_before_training(monkeypatch):
+    calls = []
+    monkeypatch.setattr(train, "train_model", lambda *args: calls.append(args))
+    frame = SeriesFrame(["y"], np.sin(np.arange(60.0) / 4.0)[:, None])
+    config = ForecasterConfig(v=1, T=8, L=1, seed=0, **TINY_MODEL)
+    for radius in (-1, 1.5, "1"):
+        with pytest.raises(ValueError, match="^radius must be"):
+            cross_validate(frame, config, TrainConfig(epochs=1), k=3, horizons=(3,), dtw_radius=radius)
+    assert calls == []
+
+
 def test_eval_report_zero_error_aggregates():
     report = EvalReport(variables=["y"], folds=5, metrics={"mse": [0.0] * 5})
     assert report.mean("mse") == 0.0
