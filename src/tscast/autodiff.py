@@ -32,6 +32,7 @@ zero.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 
@@ -399,7 +400,10 @@ def gru_sequence(x, w, u, b) -> Tensor:
     The input projections of all steps are one (T*B, C) @ (C, 3H) GEMM.
     The gate activations are kept while a tape records, and backward is
     hand-written backpropagation through time. Both sweeps write each step
-    into arrays allocated once per call.
+    into arrays allocated once per call, and walk the per-step rows of
+    those arrays as views zipped over the time axis (the transposed ``u``
+    blocks too are taken once per call), so a step pays for its ufunc
+    calls and no indexing. Untaped, the state alternates between two rows.
     """
     x, w, u, b = (_as_tensor(t) for t in (x, w, u, b))
     xv = x.values
@@ -417,7 +421,9 @@ def gru_sequence(x, w, u, b) -> Tensor:
 
     inputs = (x, w, u, b)
     keep = active_tape() is not None and any(_live(t) for t in inputs)
-    u_zr, u_h = u.values[: 2 * hidden], u.values[2 * hidden :]  # row views (2H, H), (H, H)
+    h2 = 2 * hidden
+    u_zr, u_h = u.values[:h2], u.values[h2:]  # row views (2H, H), (H, H)
+    u_zr_t, u_h_t = u_zr.T, u_h.T
     x_rows = xv.transpose(2, 0, 1).reshape(t_len * n, c_in)  # time-major (T*B, C)
     proj = x_rows @ w.values.T
     proj += b.values
@@ -425,26 +431,27 @@ def gru_sequence(x, w, u, b) -> Tensor:
 
     # Per step: the state entering it, the gates [z, r], r * h and the
     # candidate. Without a tape only the latest step is held, and the state
-    # alternates between two rows.
+    # alternates between two rows. Every per-step row view is made here,
+    # before the loop, or by the iterators it zips.
     depth = t_len if keep else 1
     hs = np.zeros((depth + 1, n, hidden))
-    zrs = np.empty((depth, n, 2 * hidden))
+    zrs = np.empty((depth, n, h2))
     rhs = np.empty((depth, n, hidden))
     cands = np.empty((depth, n, hidden))
-    e = np.empty((n, 2 * hidden))  # sigmoid scratch
-    for t in range(t_len):
-        i = t if keep else 0
-        src, dst = (t, t + 1) if keep else (t % 2, (t + 1) % 2)
-        h, zr, rh, cand = hs[src], zrs[i], rhs[i], cands[i]
-        np.matmul(h, u_zr.T, out=zr)
-        zr += proj[t, :, : 2 * hidden]
+    e = np.empty((n, h2))  # sigmoid scratch
+    if keep:
+        rows = zip(hs[:-1], hs[1:], zrs, zrs[:, :, :hidden], zrs[:, :, hidden:], rhs, cands)
+    else:
+        step = zrs[0], zrs[0, :, :hidden], zrs[0, :, hidden:], rhs[0], cands[0]
+        rows = itertools.cycle([(hs[0], hs[1], *step), (hs[1], hs[0], *step)])
+    for p_zr, p_h, (h, h_next, zr, z, r, rh, cand) in zip(proj[:, :, :h2], proj[:, :, h2:], rows):
+        np.dot(h, u_zr_t, out=zr)
+        zr += p_zr
         _sigmoid(zr, zr, e)
-        z, r = zr[:, :hidden], zr[:, hidden:]
         np.multiply(r, h, out=rh)
-        np.matmul(rh, u_h.T, out=cand)
-        cand += proj[t, :, 2 * hidden :]
+        np.dot(rh, u_h_t, out=cand)
+        cand += p_h
         np.tanh(cand, out=cand)
-        h_next = hs[dst]
         np.subtract(cand, h, out=h_next)
         h_next *= z
         h_next += h  # h + z * (cand - h)
@@ -454,33 +461,34 @@ def gru_sequence(x, w, u, b) -> Tensor:
         da = np.empty((t_len, n, 3 * hidden))  # gradient of the gate pre-activations
         dh = g.copy()
         dcand, drh, tmp = np.empty((3, n, hidden))  # drh: gradient of r * h
-        tmp_zr = np.empty((n, 2 * hidden))
-        for t in range(t_len - 1, -1, -1):
-            h, zr, cand = hs[t], zrs[t], cands[t]
-            z, r = zr[:, :hidden], zr[:, hidden:]
-            da_zr, da_h = da[t, :, : 2 * hidden], da[t, :, 2 * hidden :]
+        tmp_zr = np.empty((n, h2))
+        zrs_b, da_b = zrs[::-1], da[::-1]  # time-reversed views
+        for h, zr, z, r, cand, da_zr, da_z, da_r, da_h in zip(
+            hs[-2::-1], zrs_b, zrs_b[:, :, :hidden], zrs_b[:, :, hidden:], cands[::-1],
+            da_b[:, :, :h2], da_b[:, :, :hidden], da_b[:, :, hidden:h2], da_b[:, :, h2:],
+        ):
             np.multiply(dh, z, out=dcand)
             np.multiply(cand, cand, out=tmp)
             np.subtract(1.0, tmp, out=tmp)
             np.multiply(dcand, tmp, out=da_h)
-            np.matmul(da_h, u_h, out=drh)
+            np.dot(da_h, u_h, out=drh)
             np.subtract(cand, h, out=tmp)
-            np.multiply(dh, tmp, out=da_zr[:, :hidden])
-            np.multiply(drh, h, out=da_zr[:, hidden:])
+            np.multiply(dh, tmp, out=da_z)
+            np.multiply(drh, h, out=da_r)
             np.subtract(1.0, zr, out=tmp_zr)
             tmp_zr *= zr
             da_zr *= tmp_zr
             # dh = ((dh - dcand) + drh * r) + da_zr @ u_zr, in that order
             dh -= dcand
             dh += np.multiply(drh, r, out=tmp)
-            dh += np.matmul(da_zr, u_zr, out=tmp)
+            dh += np.dot(da_zr, u_zr, out=tmp)
 
         da_rows = da.reshape(t_len * n, 3 * hidden)
         gx = None
         if needs[0]:
             gx = np.ascontiguousarray((da_rows @ w.values).reshape(t_len, n, c_in).transpose(1, 2, 0))
-        gu_zr = da_rows[:, : 2 * hidden].T @ hs[:-1].reshape(t_len * n, hidden)
-        gu_h = da_rows[:, 2 * hidden :].T @ rhs.reshape(t_len * n, hidden)
+        gu_zr = da_rows[:, :h2].T @ hs[:-1].reshape(t_len * n, hidden)
+        gu_h = da_rows[:, h2:].T @ rhs.reshape(t_len * n, hidden)
         return gx, da_rows.T @ x_rows, np.concatenate([gu_zr, gu_h]), da_rows.sum(axis=0)
 
     return _record(out, inputs, grad_fn)

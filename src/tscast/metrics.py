@@ -291,12 +291,16 @@ def _fastdtw(a, b, radius, with_path):
 
 
 def _halve(x: np.ndarray) -> np.ndarray:
-    """Average consecutive pairs; an odd trailing element is kept as-is."""
-    pairs = x.size // 2
-    out = (x[0 : 2 * pairs : 2] + x[1 : 2 * pairs + 1 : 2]) / 2.0
-    if x.size % 2:
-        out = np.append(out, x[-1])
-    return out
+    """Average consecutive pairs; an odd trailing element is kept as-is.
+
+    Computed over Python floats, whose (p + q) / 2.0 rounds as numpy's
+    does, to skip numpy's per-call set-up on short levels.
+    """
+    xs = x.tolist()
+    out = [(p + q) / 2.0 for p, q in zip(xs[0::2], xs[1::2])]
+    if len(xs) % 2:
+        out.append(xs[-1])
+    return np.array(out)
 
 
 def _expand_window(coarse_path, n, m, radius):
@@ -314,10 +318,14 @@ def _expand_window(coarse_path, n, m, radius):
         first[i] = j
     for i, j in coarse_path:
         last[i] = j
-    rows = np.arange(n_coarse)
-    lo = 2 * (np.take(first, rows - radius, mode="clip") - radius)
-    hi = 2 * (np.take(last, rows + radius, mode="clip") + radius) + 1
-    return np.maximum(lo, 0).repeat(2)[:n], np.minimum(hi, m - 1).repeat(2)[:n]
+    top = n_coarse - 1
+    lo, hi = [], []
+    for i in range(n_coarse):
+        j0 = max(2 * (first[max(i - radius, 0)] - radius), 0)
+        j1 = min(2 * (last[min(i + radius, top)] + radius) + 1, m - 1)
+        lo += (j0, j0)
+        hi += (j1, j1)
+    return np.array(lo[:n]), np.array(hi[:n])
 
 
 def dtw_multivariate(pred, target, radius: int | None = None) -> float:

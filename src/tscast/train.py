@@ -45,10 +45,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 0 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("epochs must be >= 0, batch_size and patience >= 1")
+        lr = self.learning_rate
+        real = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
+        if not (real and math.isfinite(lr) and lr > 0):
+            raise ValueError(f"config field learning_rate must be a positive finite number, got {lr!r}")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"config field {name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass

@@ -405,6 +405,11 @@ def _ref_gru_sequence(xv, wv, uv, bv, g):
     (1, 32, 16, 64, 0.3),    # one window, as forecast runs it: matrix-vector products
     (32, 32, 64, 64, 0.3),   # the full-resolution stream at the defaults
     (4, 3, 9, 5, 1000.0),    # gates saturated at about +-1000
+    (64, 4, 16, 8, 0.3),     # the ablation-small streams: full,
+    (64, 4, 8, 8, 0.3),      # half
+    (64, 4, 4, 8, 0.3),      # and quarter resolution
+    (1, 4, 16, 8, 0.3),      # one ablation-small window
+    (3, 2, 2, 4, 0.3),       # even T: the untaped state ends in the row it started in
 ])
 def test_gru_sequence_equals_loop_reference_bit_for_bit(batch, c_in, t_len, hidden, scale):
     rng = np.random.default_rng(batch + t_len + hidden)

@@ -382,6 +382,16 @@ def test_train_config_rejects_the_adam_constants(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_train_config_names_a_bad_field(tmp_path, capsys):
+    # a fractional batch_size crashed in range(); a NaN rate read as divergence
+    bad = (("batch_size", 2.5), ("epochs", 1.5), ("patience", 0.5), ("seed", 1.5), ("learning_rate", float("nan")))
+    for key, value in bad:
+        code, out = _run_with_config(tmp_path, "train", {"train": {key: value}})
+        assert code == 1
+        assert f"error: invalid configuration: config field {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _readme_synopsis() -> dict[str, str]:
     """The README's CLI code block split into {subcommand: its lines}."""
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]

@@ -74,10 +74,17 @@ def _ref_full(a, b):
     return _ref_dtw_window(a, b, [(i, j) for i in range(a.size) for j in range(b.size)])
 
 
+def _ref_halve(x):
+    """Pairwise means as one numpy expression; an odd last element is kept."""
+    pairs = x.size // 2
+    out = (x[0 : 2 * pairs : 2] + x[1 : 2 * pairs + 1 : 2]) / 2.0
+    return np.append(out, x[-1]) if x.size % 2 else out
+
+
 def _ref_fastdtw(a, b, radius):
     if a.size <= radius + 2 or b.size <= radius + 2:
         return _ref_full(a, b)
-    _, coarse_path = _ref_fastdtw(_halve(a), _halve(b), radius)
+    _, coarse_path = _ref_fastdtw(_ref_halve(a), _ref_halve(b), radius)
     return _ref_dtw_window(a, b, _ref_expand_window(coarse_path, a.size, b.size, radius))
 
 
@@ -204,6 +211,19 @@ def test_row_and_diagonal_sweeps_equal_the_reference():
 def test_fastdtw_equals_reference_bit_for_bit_on_long_pairs():
     # 60-200 points recurse through five to eight levels, as the 100-point pairs do
     for a, b in _tied_pairs(16, 8, shortest=60, longest=200):
+        for radius in (0, 1, 2):
+            ref_cost, ref_path = _ref_fastdtw(a, b, radius)
+            assert fastdtw(a, b, radius) == ref_cost
+            assert _fastdtw(a, b, radius, with_path=True) == (ref_cost, ref_path)
+
+
+def test_fastdtw_equals_reference_bit_for_bit_on_short_pairs():
+    # 2-20 points: up to three levels, each halving and projecting a path
+    rng = np.random.default_rng(18)
+    plain = [(rng.normal(size=n), rng.normal(size=m)) for n, m in rng.integers(2, 21, size=(100, 2))]
+    for a, b in itertools.chain(_tied_pairs(18, 200, shortest=2, longest=20), plain):
+        for x in (a, b):
+            assert _halve(x).tobytes() == _ref_halve(x).tobytes()
         for radius in (0, 1, 2):
             ref_cost, ref_path = _ref_fastdtw(a, b, radius)
             assert fastdtw(a, b, radius) == ref_cost

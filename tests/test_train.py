@@ -53,6 +53,35 @@ def test_mse_shape_mismatch():
         mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+    ("learning_rate", -float("inf")),
+    ("learning_rate", 0.0),
+    ("learning_rate", "0.01"),
+    ("epochs", 2.5),
+    ("epochs", 3.0),
+    ("epochs", -1),
+    ("batch_size", 2.5),
+    ("batch_size", 0),
+    ("batch_size", True),
+    ("patience", 1.5),
+    ("patience", 0),
+    ("seed", 1.5),
+    ("seed", -1),
+])
+def test_train_config_rejects_a_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=f"config field {field} must be"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_scalars():
+    config = TrainConfig(
+        learning_rate=np.float64(0.01), epochs=np.int64(0), batch_size=np.int32(4), patience=np.int64(2), seed=np.int64(3)
+    )
+    assert config.epochs == 0 and config.batch_size == 4
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
