@@ -24,11 +24,13 @@ w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 x = constant(rng.normal(size=4))
 
 # Operations only record when a tape is active.
+# backward consumes the tape, freeing each record once it has been swept.
 with Tape() as tape:
     y = sigmoid(matmul(w, x))
     loss = mean_all(y * y)
+    recorded = len(tape)
     backward(loss)
-print(f"recorded {len(tape)} operations, loss = {loss.item():.6f}")
+print(f"recorded {recorded} operations, {len(tape)} left after backward, loss = {loss.item():.6f}")
 print("dL/dW row 0:", np.round(w.grad[0], 6))
 
 # The engine ships its own oracle: central finite differences.

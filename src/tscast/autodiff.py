@@ -4,9 +4,16 @@ Operations executed inside a ``with Tape():`` block are recorded in
 execution order, each as a triple ``(output, inputs, grad_fn)``, and the
 output's ``node`` is a weak reference to the tape. :func:`backward` sweeps
 the records once, in reverse, and accumulates gradients into every
-recorded tensor that requires them. Outside a tape block the same
-functions run as plain numpy computations and ``node`` stays None, which
-makes inference on frozen parameters free of bookkeeping.
+recorded tensor that requires them. The sweep consumes the tape: each
+record, with the arrays its ``grad_fn`` saved, and each intermediate
+gradient is freed as soon as the sweep has used it, so memory falls as
+backward runs (activations are freed in the order the backward pass of
+Chen et al., 2016, "Training Deep Nets with Sublinear Memory Cost",
+frees them; nothing is recomputed). Each op keeps in its record only
+what its backward needs and cannot get back for free; the op docstrings
+say what that is. Outside a tape block the same functions run as plain
+numpy computations and ``node`` stays None, which makes inference on
+frozen parameters free of bookkeeping.
 
 The operation set is deliberately small:
 
@@ -79,7 +86,9 @@ class Tape:
 
     Each record is a triple ``(output, inputs, grad_fn)``: the produced
     tensor, the operand tensors, and the rule mapping the output's gradient
-    to one gradient (or None) per input. A tape is single-writer: one
+    to one gradient (or None) per input. backward() pops the records as it
+    sweeps them, so afterwards the tape is empty and ``len(tape)`` is 0;
+    count the records before calling it. A tape is single-writer: one
     forward/backward pass at a time. Separate tapes are independent, so
     e.g. cross-validation folds may run in parallel threads, each under its
     own tape. Recorded tensors refer to their tape only weakly, so call
@@ -116,7 +125,7 @@ class Tensor:
     share across threads.
     """
 
-    __slots__ = ("values", "grad", "node", "requires_grad")
+    __slots__ = ("values", "grad", "node", "requires_grad", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         v = values
@@ -222,6 +231,7 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    """a + b. Its record keeps nothing but the operands."""
     a, b = _operands("add", a, b)
     out = Tensor(a.values + b.values)
 
@@ -234,6 +244,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    """a - b. Its record keeps nothing but the operands."""
     a, b = _operands("sub", a, b)
     out = Tensor(a.values - b.values)
 
@@ -246,6 +257,8 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """a * b. Its record keeps the operands, whose values are each other's
+    gradient factors."""
     a, b = _operands("mul", a, b)
     out = Tensor(a.values * b.values)
 
@@ -266,6 +279,7 @@ def matmul(a, b) -> Tensor:
 
     A vector on the left is a one-row matrix and a vector on the right a
     one-column matrix; both gradients are computed on these 2-D views.
+    The record keeps the operands and those views of their values.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
@@ -284,6 +298,15 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), grad_fn)
 
 
+def _padded_rows(xb: np.ndarray, span: int) -> np.ndarray:
+    """(B, C, T) as time-major rows (B * span, C), each sequence left-padded
+    with span - T zero rows."""
+    n, c_in, t_len = xb.shape
+    xp = np.zeros((n, span, c_in))
+    xp[:, span - t_len :, :] = xb.transpose(0, 2, 1)
+    return xp.reshape(n * span, c_in)
+
+
 def causal_conv1d(x, w, b) -> Tensor:
     """Causal 1-d convolution: left-pad with K-1 zeros, keep length.
 
@@ -297,6 +320,10 @@ def causal_conv1d(x, w, b) -> Tensor:
     one input channel the forward tap products are broadcast multiplies,
     which give the same values as GEMMs with an inner dimension of one.
     An unbatched input is computed as a batch of one.
+
+    The record keeps the operands and the (K, C_in, C_out) tap matrix. The
+    padded time-major copy of the input is not kept: the weight gradient
+    rebuilds it from the input with the same two numpy calls.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     xv, wv, bv = x.values, w.values, b.values
@@ -323,9 +350,7 @@ def causal_conv1d(x, w, b) -> Tensor:
     # sequence (padded times >= T) are computed and dropped.
     span = t_len + k - 1
     rows = n * span - (k - 1)
-    xp = np.zeros((n, span, c_in))
-    xp[:, k - 1 :, :] = xb.transpose(0, 2, 1)
-    xf = xp.reshape(n * span, c_in)
+    xf = _padded_rows(xb, span)
     taps = np.ascontiguousarray(wv.transpose(2, 1, 0))  # (K, C_in, C_out)
     yf = np.empty((n * span, c_out))
     prod = np.empty((rows, c_out))
@@ -352,6 +377,7 @@ def causal_conv1d(x, w, b) -> Tensor:
             gxb = np.ascontiguousarray(gxf.reshape(n, span, c_in)[:, k - 1 :, :].transpose(0, 2, 1))
             gx = gxb if batched else gxb[0]
         if needs[1]:
+            xf = _padded_rows(xb, span)  # rebuilt, not kept from the forward pass
             gtaps = np.stack([xf[tap : tap + rows].T @ gyf for tap in range(k)])  # (K, C_in, C_out)
             gw = np.ascontiguousarray(gtaps.transpose(2, 1, 0))
         if needs[2]:
@@ -383,6 +409,12 @@ def _sigmoid(v: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
+def _time_major(xv: np.ndarray) -> np.ndarray:
+    """(B, C, T) as time-major rows (T * B, C)."""
+    n, c_in, t_len = xv.shape
+    return xv.transpose(2, 0, 1).reshape(t_len * n, c_in)
+
+
 def gru_sequence(x, w, u, b) -> Tensor:
     """Run a GRU over a whole sequence from a zero state, as one tape record.
 
@@ -404,6 +436,12 @@ def gru_sequence(x, w, u, b) -> Tensor:
     those arrays as views zipped over the time axis (the transposed ``u``
     blocks too are taken once per call), so a step pays for its ufunc
     calls and no indexing. Untaped, the state alternates between two rows.
+
+    The record keeps the operands, the T + 1 states, the T gate pairs and
+    the T candidates. r * h is written each step into one scratch row;
+    backward, once its sweep has spent the candidates, fills their buffer
+    with every step's r * h in one multiply, the same products bit for
+    bit. The time-major input rows are rebuilt from the input.
     """
     x, w, u, b = (_as_tensor(t) for t in (x, w, u, b))
     xv = x.values
@@ -424,27 +462,26 @@ def gru_sequence(x, w, u, b) -> Tensor:
     h2 = 2 * hidden
     u_zr, u_h = u.values[:h2], u.values[h2:]  # row views (2H, H), (H, H)
     u_zr_t, u_h_t = u_zr.T, u_h.T
-    x_rows = xv.transpose(2, 0, 1).reshape(t_len * n, c_in)  # time-major (T*B, C)
-    proj = x_rows @ w.values.T
+    proj = _time_major(xv) @ w.values.T
     proj += b.values
     proj = proj.reshape(t_len, n, 3 * hidden)
 
-    # Per step: the state entering it, the gates [z, r], r * h and the
-    # candidate. Without a tape only the latest step is held, and the state
-    # alternates between two rows. Every per-step row view is made here,
+    # Per step: the state entering it, the gates [z, r] and the candidate;
+    # r * h goes to one scratch row. Without a tape only the latest step is
+    # held, and the state alternates between two rows. Every per-step row view is made here,
     # before the loop, or by the iterators it zips.
     depth = t_len if keep else 1
     hs = np.zeros((depth + 1, n, hidden))
     zrs = np.empty((depth, n, h2))
-    rhs = np.empty((depth, n, hidden))
     cands = np.empty((depth, n, hidden))
+    rh = np.empty((n, hidden))  # r * h of the current step only
     e = np.empty((n, h2))  # sigmoid scratch
     if keep:
-        rows = zip(hs[:-1], hs[1:], zrs, zrs[:, :, :hidden], zrs[:, :, hidden:], rhs, cands)
+        rows = zip(hs[:-1], hs[1:], zrs, zrs[:, :, :hidden], zrs[:, :, hidden:], cands)
     else:
-        step = zrs[0], zrs[0, :, :hidden], zrs[0, :, hidden:], rhs[0], cands[0]
+        step = zrs[0], zrs[0, :, :hidden], zrs[0, :, hidden:], cands[0]
         rows = itertools.cycle([(hs[0], hs[1], *step), (hs[1], hs[0], *step)])
-    for p_zr, p_h, (h, h_next, zr, z, r, rh, cand) in zip(proj[:, :, :h2], proj[:, :, h2:], rows):
+    for p_zr, p_h, (h, h_next, zr, z, r, cand) in zip(proj[:, :, :h2], proj[:, :, h2:], rows):
         np.dot(h, u_zr_t, out=zr)
         zr += p_zr
         _sigmoid(zr, zr, e)
@@ -488,8 +525,11 @@ def gru_sequence(x, w, u, b) -> Tensor:
         if needs[0]:
             gx = np.ascontiguousarray((da_rows @ w.values).reshape(t_len, n, c_in).transpose(1, 2, 0))
         gu_zr = da_rows[:, :h2].T @ hs[:-1].reshape(t_len * n, hidden)
+        # the candidates are spent: refill their buffer with every step's r * h
+        rhs = np.multiply(zrs[:, :, hidden:], hs[:-1], out=cands)
         gu_h = da_rows[:, h2:].T @ rhs.reshape(t_len * n, hidden)
-        return gx, da_rows.T @ x_rows, np.concatenate([gu_zr, gu_h]), da_rows.sum(axis=0)
+        gw = da_rows.T @ _time_major(xv)  # the input rows, rebuilt rather than kept
+        return gx, gw, np.concatenate([gu_zr, gu_h]), da_rows.sum(axis=0)
 
     return _record(out, inputs, grad_fn)
 
@@ -499,17 +539,21 @@ def gru_sequence(x, w, u, b) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0). Its record keeps only the output: out > 0 exactly where
+    x > 0 (the subgradient at 0 is 0; NaN and -0 count as not positive in
+    both), so backward takes the mask from the output."""
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.values, 0.0))
-    mask = x.values > 0.0  # subgradient at 0 is 0
+    out_v = np.maximum(x.values, 0.0)
+    out = Tensor(out_v)
 
     def grad_fn(g, needs):
-        return (g * mask,) if needs[0] else (None,)
+        return (g * (out_v > 0.0),) if needs[0] else (None,)
 
     return _record(out, (x,), grad_fn)
 
 
 def sigmoid(x) -> Tensor:
+    """Logistic function. Its record keeps only the output."""
     x = _as_tensor(x)
     s = _sigmoid(x.values, np.empty(x.shape), np.empty(x.shape))
     out = Tensor(s)
@@ -521,6 +565,7 @@ def sigmoid(x) -> Tensor:
 
 
 def tanh(x) -> Tensor:
+    """Hyperbolic tangent. Its record keeps only the output."""
     x = _as_tensor(x)
     th = np.tanh(x.values)
     out = Tensor(th)
@@ -536,6 +581,8 @@ def tanh(x) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
+    """Join tensors along ``axis``. Its record keeps the operands and their
+    offsets along it."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("concat: no tensors")
@@ -559,7 +606,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def stack(tensors) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis."""
+    """Stack same-shaped tensors along a new leading axis. Its record keeps
+    nothing but the operands."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("stack: no tensors")
@@ -578,7 +626,7 @@ def transpose(x, axes=None) -> Tensor:
     Without ``axes`` the input must be a matrix, and its two axes swap.
     With ``axes``, a permutation of ``range(x.ndim)``, output axis i is
     input axis ``axes[i]``; the gradient is permuted back by the inverse
-    permutation.
+    permutation, the one thing the record keeps besides the operand.
     """
     x = _as_tensor(x)
     if axes is None:
@@ -598,6 +646,7 @@ def transpose(x, axes=None) -> Tensor:
 
 
 def reshape(x, shape) -> Tensor:
+    """A view of ``x`` in ``shape``. Its record keeps nothing but the operand."""
     x = _as_tensor(x)
     out = Tensor(x.values.reshape(shape))
 
@@ -608,7 +657,8 @@ def reshape(x, shape) -> Tensor:
 
 
 def mean_all(x) -> Tensor:
-    """Mean over all entries, as a scalar tensor."""
+    """Mean over all entries, as a scalar tensor. Its record keeps nothing
+    but the operand."""
     x = _as_tensor(x)
     n = x.values.size
     out = Tensor(np.mean(x.values))
@@ -627,6 +677,12 @@ def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dt into t.grad for every recorded tensor with
     requires_grad, overwriting previous contents. Recorded tensors that do
     not influence the loss receive a zero gradient.
+
+    The sweep consumes the tape: it pops each record as it reaches it, and
+    drops an op output's gradient once that output's own record has used
+    it, so each record's saved buffers and each intermediate gradient are
+    freed as soon as the sweep has passed them. Afterwards the tape is
+    empty; a second backward of the same loss raises.
     """
     if not isinstance(loss, Tensor) or loss.values.size != 1:
         got = loss.shape if isinstance(loss, Tensor) else type(loss)
@@ -640,14 +696,18 @@ def backward(loss: Tensor) -> None:
             "backward: the tape that recorded the loss is gone; call backward "
             "inside the `with Tape()` block that recorded it"
         )
+    records = tape._records
     grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape)}
     touched: list[Tensor] = []
 
     # Records made after the loss get no gradient, so they only mark their
-    # parameters for a zero gradient.
-    for out, inputs, grad_fn in reversed(tape._records):
+    # parameters for a zero gradient. Every input of a record was made
+    # before it, so an op output has all its gradient once the sweep
+    # reaches the output's own record.
+    while records:
+        out, inputs, grad_fn = records.pop()
         touched.extend(t for t in inputs if t.requires_grad)
-        g = grads.get(id(out))
+        g = grads.get(id(out)) if out.requires_grad else grads.pop(id(out), None)
         if g is None:
             continue
         in_grads = grad_fn(g, tuple(_live(t) for t in inputs))
@@ -659,6 +719,11 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
+    if id(loss) in grads and not loss.requires_grad:  # the sweep never reached the loss's record
+        raise ValueError(
+            "backward: the loss's record was already swept by an earlier backward; "
+            "record the forward pass again"
+        )
 
     for t in touched:
         g = grads.get(id(t))

@@ -106,9 +106,9 @@ def dtw_exact_path(a, b):
 
 def _dtw_window(a, b, lo, hi, with_path: bool):
     """DP over the cells lo[i] <= j <= hi[i] of each row i; the rest are
-    unreachable. ``lo`` and ``hi`` are non-decreasing per-row arrays (or
-    ints, for the same range in every row), lo[0] = 0 and hi[-1] = m - 1.
-    Returns the cost and, if asked, the warp path.
+    unreachable. ``lo`` and ``hi`` are non-decreasing per-row lists of
+    ints (or ints, for the same range in every row), lo[0] = 0 and
+    hi[-1] = m - 1. Returns the cost and, if asked, the warp path.
 
     A window of more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal runs
     the numpy diagonal sweep, a narrower one the row sweep over Python
@@ -118,7 +118,7 @@ def _dtw_window(a, b, lo, hi, with_path: bool):
     if isinstance(lo, int):
         cells = n * (hi - lo + 1)
     else:
-        cells = int((hi - lo).sum()) + n
+        cells = sum(hi) - sum(lo) + n
     if cells > ROW_SWEEP_CELLS * (n + m - 1):
         return _dtw_diagonals(a, b, lo, hi, with_path)
     return _dtw_rows(a, b, lo, hi, with_path)
@@ -140,8 +140,8 @@ def _dtw_diagonals(a, b, lo, hi, with_path: bool):
     n, m = a.size, b.size
     diagonals = np.arange(n + m - 1)
     rows = diagonals[:n]
-    first = (rows + hi).searchsorted(diagonals)
-    count = (rows + lo).searchsorted(diagonals, "right") - first
+    first = (rows + np.asarray(hi)).searchsorted(diagonals)
+    count = (rows + np.asarray(lo)).searchsorted(diagonals, "right") - first
     base = (count + 2).cumsum() - count - first
     cell_diag = diagonals.repeat(count)
     cell_pos = np.arange(cell_diag.size) + 2 * cell_diag + 3
@@ -178,8 +178,8 @@ def _dtw_rows(a, b, lo, hi, with_path: bool):
     """
     n, m = a.size, b.size
     a, b = a.tolist(), b.tolist()
-    lo = [lo] * n if isinstance(lo, int) else lo.tolist()
-    hi = [hi] * n if isinstance(hi, int) else hi.tolist()
+    if isinstance(lo, int):
+        lo, hi = [lo] * n, [hi] * n
     inf = math.inf
     kept = []
     prev, prev_j0 = [0.0], 0
@@ -305,7 +305,8 @@ def _halve(x: np.ndarray) -> np.ndarray:
 
 def _expand_window(coarse_path, n, m, radius):
     """Inflate a coarse warp path by ``radius`` cells in each direction and
-    project it up one resolution, as per-row column ranges (lo, hi).
+    project it up one resolution, as per-row column ranges (lo, hi), two
+    lists of ints.
 
     A monotone path covers a contiguous, non-decreasing column range
     [first[i], last[i]] in each coarse row i, so the inflated row i covers
@@ -325,7 +326,7 @@ def _expand_window(coarse_path, n, m, radius):
         j1 = min(2 * (last[min(i + radius, top)] + radius) + 1, m - 1)
         lo += (j0, j0)
         hi += (j1, j1)
-    return np.array(lo[:n]), np.array(hi[:n])
+    return lo[:n], hi[:n]
 
 
 def dtw_multivariate(pred, target, radius: int | None = None) -> float:

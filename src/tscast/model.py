@@ -69,18 +69,14 @@ class ForecasterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        positive = {
-            "v": self.v,
-            "T": self.T,
-            "L": self.L,
-            "n_filters": self.n_filters,
-            "kernel_size": self.kernel_size,
-            "gru_hidden": self.gru_hidden,
-            "ar_window": self.ar_window,
-        }
-        for name, value in positive.items():
-            if int(value) != value or value < 1:
-                raise ValueError(f"config field {name} must be a positive integer, got {value}")
+        least_values = (
+            ("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
+            ("gru_hidden", 1), ("ar_window", 1), ("seed", 0),
+        )
+        for name, least in least_values:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"config field {name} must be an integer >= {least}, got {value!r}")
         if self.T % 4 != 0:
             raise ValueError(f"input length T={self.T} must be a multiple of 4")
         if self.ar_window > self.T:

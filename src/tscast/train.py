@@ -32,7 +32,7 @@ __all__ = [
     "validation_split",
 ]
 
-PREDICT_CHUNK = 256  # windows per forecast_batch call in predict_windows
+PREDICT_CHUNK = 64  # most windows per forecast_batch call in predict_windows
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -188,12 +188,29 @@ def validation_split(windows: list[ForecastWindow]) -> tuple[list[ForecastWindow
 def predict_windows(
     params: ForecasterParams, config: ForecasterConfig, windows: list[ForecastWindow]
 ) -> np.ndarray:
-    """Forecast a list of windows on frozen parameters; returns (N, L, v)."""
-    if len(windows) == 0:
+    """Forecast a list of windows on frozen parameters; returns (N, L, v).
+
+    The windows go through ``forecast_batch`` in chunks of at most
+    ``PREDICT_CHUNK``, which bounds the memory a call holds. A last chunk
+    shorter than ``PREDICT_CHUNK // 2`` takes that many windows from the
+    chunk before it, so every chunk starts at a multiple of
+    ``PREDICT_CHUNK // 2`` and holds at least that many (unless N is
+    smaller). Every row then meets the BLAS kernels it would meet in one
+    batch of all N windows, and gets the same bits: OpenBLAS computes
+    products of a few rows on other paths (matrix-vector for one row, a
+    small-matrix kernel for the GRU's recurrent products below about 19
+    rows at H = 64), and its matrix-vector kernel treats the rows of an
+    unfinished aligned block apart.
+    """
+    n = len(windows)
+    if n == 0:
         raise ValueError("predict_windows: no windows to forecast (got an empty list)")
+    bounds = list(range(0, n, PREDICT_CHUNK)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < PREDICT_CHUNK // 2:
+        bounds[-2] -= PREDICT_CHUNK // 2
     outputs = []
-    for lo in range(0, len(windows), PREDICT_CHUNK):
-        inputs = np.stack([w.input for w in windows[lo : lo + PREDICT_CHUNK]])
+    for lo, hi in zip(bounds, bounds[1:]):
+        inputs = np.stack([w.input for w in windows[lo:hi]])
         pred = forecast_batch(inputs, params, config).values  # (L, B, v)
         outputs.append(np.swapaxes(pred, 0, 1))
     return np.concatenate(outputs, axis=0)

@@ -614,6 +614,48 @@ def test_relu_subgradient_at_zero_is_zero():
     assert np.array_equal(x.grad, [0.0])
 
 
+def test_relu_gradient_mask_from_the_output_equals_the_input_mask():
+    # out > 0 exactly where x > 0: +-0, +-inf, NaN and denormals included
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, np.inf, -np.inf, np.nan])
+    x = Tensor(special, requires_grad=True)
+    g = np.arange(1.0, special.size + 1.0)
+    with np.errstate(invalid="ignore"), Tape():
+        backward(mean_all(relu(x) * constant(g)))
+    want = (np.full(special.shape, 1.0 / special.size) * g) * (special > 0.0)
+    assert np.array_equal(x.grad.view(np.uint64), want.view(np.uint64))
+
+
+def test_backward_consumes_the_tape_and_frees_intermediates_inside_the_block():
+    import weakref
+
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    with Tape() as tape:
+        hidden = tanh(matmul(x, constant(np.ones((4, 2)))))
+        gone = weakref.ref(hidden)
+        loss = mean_all(relu(hidden))
+        del hidden
+        assert len(tape) == 4 and gone() is not None
+        backward(loss)
+        assert len(tape) == 0
+        assert gone() is None  # freed by the sweep, not by leaving the block
+        assert x.grad is not None
+        with pytest.raises(ValueError, match="already swept"):
+            backward(loss)
+        _ = tanh(x)  # a new record does not bring the swept loss back
+        with pytest.raises(ValueError, match="already swept"):
+            backward(loss)
+
+
+def test_backward_keeps_the_gradient_of_a_recorded_tensor_marked_requires_grad():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with Tape():
+        y = x * x
+        y.requires_grad = True
+        backward(mean_all(y * 3.0))
+    assert np.array_equal(y.grad, np.full(3, 1.0))
+    assert np.array_equal(x.grad, 2.0 * x.values)
+
+
 def test_independent_tapes_across_threads():
     import threading
 

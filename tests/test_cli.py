@@ -392,6 +392,16 @@ def test_train_config_names_a_bad_field(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_train_model_config_names_a_bad_field(tmp_path, capsys):
+    # whole floats passed the integer check and crashed inside the model
+    bad = (("n_filters", 2.0), ("kernel_size", 3.0), ("gru_hidden", True), ("seed", 1.5), ("seed", -1))
+    for key, value in bad:
+        code, out = _run_with_config(tmp_path, "train", {"model": {key: value}, "train": {"epochs": 1}})
+        assert code == 1
+        assert f"error: invalid configuration: config field {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _readme_synopsis() -> dict[str, str]:
     """The README's CLI code block split into {subcommand: its lines}."""
     block = README.read_text().split("## CLI", 1)[1].split("```")[1]

@@ -52,6 +52,20 @@ def test_config_validation():
         ForecasterConfig(v=0, T=8)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("T", 16.0), ("n_filters", 2.0), ("v", 1.0), ("L", True), ("ar_window", np.float64(3.0)),
+    ("seed", 1.5), ("seed", -1), ("seed", "0"),
+])
+def test_config_names_a_non_integer_field_or_a_negative_seed(field, value):
+    with pytest.raises(ValueError, match=f"config field {field} must be an integer >= {int(field != 'seed')}"):
+        ForecasterConfig(**{"v": 1, "T": 16, field: value})
+
+
+def test_config_takes_numpy_integers():
+    config = ForecasterConfig(v=np.int64(1), T=np.int32(16), seed=np.int64(0))
+    assert (config.v, config.T, config.seed) == (1, 16, 0)
+
+
 def test_init_deterministic():
     a = init_forecaster(TINY)
     b = init_forecaster(TINY)

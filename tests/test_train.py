@@ -6,7 +6,7 @@ import pytest
 from tscast import train
 from tscast.autodiff import Tape, Tensor, backward
 from tscast.model import ForecasterConfig, forecast, forecast_batch, init_forecaster
-from tscast.preprocess import SeriesFrame, build_windows
+from tscast.preprocess import ForecastWindow, SeriesFrame, build_windows
 from tscast.synth import default_ablation_model_config
 from tscast.train import (
     AdamState,
@@ -381,8 +381,69 @@ def test_train_step_record_budget(config):
     windows = rng.normal(size=(4, config.T, config.v))
     with Tape() as tape:
         loss = mse_loss(forecast_batch(windows, params, config), rng.normal(size=(config.L, 4, config.v)))
+        records = len(tape)  # backward consumes the tape, so count before it
         backward(loss)
-    assert len(tape) <= 29
+    assert 0 < records <= 29
+    assert len(tape) == 0
+
+
+def test_default_train_step_peak_memory():
+    # one paper-default step at batch 32: forward, loss and backward. It
+    # peaks near 12.6 MB of arrays when backward frees each record and
+    # gradient as it passes them; keeping them all to the end of the sweep
+    # (and a relu mask, a T-deep r * h and a padded input copy per op)
+    # reads 21.8 MB.
+    import gc
+    import tracemalloc
+
+    config = ForecasterConfig(v=1)
+    params = init_forecaster(config)
+    rng = np.random.default_rng(0)
+    windows, targets = rng.normal(size=(32, config.T, 1)), rng.normal(size=(config.L, 32, 1))
+
+    def step():
+        with Tape():
+            backward(mse_loss(forecast_batch(windows, params, config), targets))
+        params.zero_grad()
+
+    step()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17e6, f"one default train step peaked at {peak / 1e6:.1f} MB"
+
+
+def _predict_rows_equal_one_batch(config, sizes):
+    """predict_windows against one forecast_batch of all N windows, the
+    call it made for every N up to 256 before it split at 64."""
+    params = init_forecaster(config)
+    rng = np.random.default_rng(4)
+    windows = [
+        ForecastWindow(rng.normal(size=(config.T, config.v)), rng.normal(size=(config.L, config.v)))
+        for _ in range(max(sizes))
+    ]
+    for n in sizes:
+        whole = np.swapaxes(forecast_batch(np.stack([w.input for w in windows[:n]]), params, config).values, 0, 1)
+        assert predict_windows(params, config, windows[:n]).tobytes() == whole.tobytes(), f"N = {n}"
+
+
+def test_predict_windows_rows_equal_one_batch_ablation_config():
+    _predict_rows_equal_one_batch(default_ablation_model_config(), range(1, 201))
+
+
+@pytest.mark.slow
+def test_predict_windows_rows_equal_one_batch_default_config():
+    _predict_rows_equal_one_batch(ForecasterConfig(v=1), range(1, 201))
+
+
+def test_predict_windows_chunks_at_the_default_config():
+    # a chunk of the 32 .. 64 windows predict_windows makes, at N that leave
+    # a last chunk of 1, 2, 18 and 31 windows before it is merged
+    _predict_rows_equal_one_batch(ForecasterConfig(v=1), (65, 66, 82, 95, 129))
 
 
 # ---------------------------------------------------------------------------
