@@ -28,13 +28,19 @@ The operation set is deliberately small:
   write into buffers allocated once per call;
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid takes exp
   of -|x| only, so it never overflows, and needs no select on the sign);
-- the shape and reduction helpers concat, stack, transpose (any axis
+- the shape and reduction helpers concat, transpose (any axis
   permutation), reshape and mean_all.
 
 Everything is computed in double precision with a fixed summation order,
 so that identical inputs give bit-identical values and gradients at a
 fixed BLAS thread count. The relu derivative at exactly zero is defined as
 zero.
+
+The kernels are written for a low fixed cost per numpy call, because a
+one-window forecast makes several hundred of them on tiny arrays: they
+call ufuncs directly with ``out=`` instead of augmented operators, pass
+scalars as the 0-d arrays ``_ZERO``, ``_ONE`` and ``_MINUS_ONE`` (a Python
+float is converted again on every call), and take no bool-to-float cast.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ __all__ = [
     "relu",
     "reshape",
     "sigmoid",
-    "stack",
     "tanh",
     "transpose",
 ]
@@ -70,15 +75,19 @@ class DimensionError(ValueError):
     """Raised when operand shapes do not fit an operation's contract."""
 
 
-_state = threading.local()
+# scalar operands of the kernels' ufunc calls, converted once
+_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+class _TapeStacks(threading.local):
+    """The open tapes of each thread, innermost last; every thread that
+    touches ``tapes`` gets its own list."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_state = _TapeStacks()
 
 
 class Tape:
@@ -89,9 +98,9 @@ class Tape:
     to one gradient (or None) per input. backward() pops the records as it
     sweeps them, so afterwards the tape is empty and ``len(tape)`` is 0;
     count the records before calling it. A tape is single-writer: one
-    forward/backward pass at a time. Separate tapes are independent, so
-    e.g. cross-validation folds may run in parallel threads, each under its
-    own tape. Recorded tensors refer to their tape only weakly, so call
+    forward/backward pass at a time. Each thread has its own stack of open
+    tapes, so a tape opened in one thread never records another thread's
+    ops. Recorded tensors refer to their tape only weakly, so call
     backward while the tape is alive, inside its ``with`` block; a finished
     tape is freed by reference counting as soon as the caller drops it.
     """
@@ -100,19 +109,19 @@ class Tape:
         self._records = []  # (output, inputs, grad_fn) in execution order
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _state.tapes.pop()
 
     def __len__(self) -> int:
         return len(self._records)
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    tapes = _state.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tensor:
@@ -357,9 +366,10 @@ def causal_conv1d(x, w, b) -> Tensor:
     # With one input channel a tap's GEMM has K=1: each entry is a single
     # product, which a broadcast multiply gives with the same value.
     tap_product = np.multiply if c_in == 1 else np.matmul
-    tap_product(xf[:rows], taps[0], out=yf[:rows])
+    acc = yf[:rows]
+    tap_product(xf[:rows], taps[0], out=acc)
     for tap in range(1, k):
-        yf[:rows] += tap_product(xf[tap : tap + rows], taps[tap], out=prod)
+        np.add(acc, tap_product(xf[tap : tap + rows], taps[tap], out=prod), out=acc)
     out_v = np.empty((n, c_out, t_len))
     np.add(yf.reshape(n, span, c_out)[:, :t_len, :].transpose(0, 2, 1), bv[:, None], out=out_v)
     out = Tensor(out_v if batched else out_v[0])
@@ -373,7 +383,8 @@ def causal_conv1d(x, w, b) -> Tensor:
             gxf = np.zeros((n * span, c_in))
             back = np.empty((rows, c_in))
             for tap in range(k):
-                gxf[tap : tap + rows] += np.matmul(gyf, taps[tap].T, out=back)
+                acc = gxf[tap : tap + rows]
+                np.add(acc, np.matmul(gyf, taps[tap].T, out=back), out=acc)
             gxb = np.ascontiguousarray(gxf.reshape(n, span, c_in)[:, k - 1 :, :].transpose(0, 2, 1))
             gx = gxb if batched else gxb[0]
         if needs[1]:
@@ -395,17 +406,20 @@ def _sigmoid(v: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Logistic function of ``v`` written into ``out``, which may be ``v``.
 
     ``e`` is scratch of the same shape. With e = exp(-|v|), exp never
-    overflows, and the numerator max(e, v >= 0) is exactly 1 for v >= 0
-    and exactly e below, so a single divide gives 1 / (1 + e) or
-    e / (1 + e) without a select on the sign, with the same bits as the
-    two-divide form, ±0, ±inf and NaN included.
+    overflows and e lies in [0, 1]. The numerator max(e, copysign(1, v))
+    is max(e, 1) = 1 for v >= +0 and max(e, -1) = e for v <= -0, where
+    e = 1 exactly at -0; so it equals max(e, v >= 0) for every input, NaN
+    included (e is NaN and max propagates it), without a bool-to-float
+    cast. A single divide then gives 1 / (1 + e) or e / (1 + e) without a
+    select on the sign, with the same bits as the two-divide form, ±0,
+    subnormals, ±inf and NaN included.
     """
-    np.copysign(v, -1.0, out=e)  # -|v|
+    np.copysign(v, _MINUS_ONE, out=e)  # -|v|
     np.exp(e, out=e)
-    np.greater_equal(v, 0.0, out=out)
+    np.copysign(_ONE, v, out=out)
     np.maximum(e, out, out=out)
-    e += 1.0
-    out /= e
+    np.add(e, _ONE, out=e)
+    np.divide(out, e, out=out)
     return out
 
 
@@ -463,7 +477,7 @@ def gru_sequence(x, w, u, b) -> Tensor:
     u_zr, u_h = u.values[:h2], u.values[h2:]  # row views (2H, H), (H, H)
     u_zr_t, u_h_t = u_zr.T, u_h.T
     proj = _time_major(xv) @ w.values.T
-    proj += b.values
+    np.add(proj, b.values, out=proj)
     proj = proj.reshape(t_len, n, 3 * hidden)
 
     # Per step: the state entering it, the gates [z, r] and the candidate;
@@ -483,15 +497,15 @@ def gru_sequence(x, w, u, b) -> Tensor:
         rows = itertools.cycle([(hs[0], hs[1], *step), (hs[1], hs[0], *step)])
     for p_zr, p_h, (h, h_next, zr, z, r, cand) in zip(proj[:, :, :h2], proj[:, :, h2:], rows):
         np.dot(h, u_zr_t, out=zr)
-        zr += p_zr
+        np.add(zr, p_zr, out=zr)
         _sigmoid(zr, zr, e)
         np.multiply(r, h, out=rh)
         np.dot(rh, u_h_t, out=cand)
-        cand += p_h
+        np.add(cand, p_h, out=cand)
         np.tanh(cand, out=cand)
         np.subtract(cand, h, out=h_next)
-        h_next *= z
-        h_next += h  # h + z * (cand - h)
+        np.multiply(h_next, z, out=h_next)
+        np.add(h_next, h, out=h_next)  # h + z * (cand - h)
     out = Tensor(hs[t_len if keep else t_len % 2])
 
     def grad_fn(g, needs):
@@ -506,19 +520,19 @@ def gru_sequence(x, w, u, b) -> Tensor:
         ):
             np.multiply(dh, z, out=dcand)
             np.multiply(cand, cand, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
+            np.subtract(_ONE, tmp, out=tmp)
             np.multiply(dcand, tmp, out=da_h)
             np.dot(da_h, u_h, out=drh)
             np.subtract(cand, h, out=tmp)
             np.multiply(dh, tmp, out=da_z)
             np.multiply(drh, h, out=da_r)
-            np.subtract(1.0, zr, out=tmp_zr)
-            tmp_zr *= zr
-            da_zr *= tmp_zr
+            np.subtract(_ONE, zr, out=tmp_zr)
+            np.multiply(tmp_zr, zr, out=tmp_zr)
+            np.multiply(da_zr, tmp_zr, out=da_zr)
             # dh = ((dh - dcand) + drh * r) + da_zr @ u_zr, in that order
-            dh -= dcand
-            dh += np.multiply(drh, r, out=tmp)
-            dh += np.dot(da_zr, u_zr, out=tmp)
+            np.subtract(dh, dcand, out=dh)
+            np.add(dh, np.multiply(drh, r, out=tmp), out=dh)
+            np.add(dh, np.dot(da_zr, u_zr, out=tmp), out=dh)
 
         da_rows = da.reshape(t_len * n, 3 * hidden)
         gx = None
@@ -543,11 +557,11 @@ def relu(x) -> Tensor:
     x > 0 (the subgradient at 0 is 0; NaN and -0 count as not positive in
     both), so backward takes the mask from the output."""
     x = _as_tensor(x)
-    out_v = np.maximum(x.values, 0.0)
+    out_v = np.maximum(x.values, _ZERO)
     out = Tensor(out_v)
 
     def grad_fn(g, needs):
-        return (g * (out_v > 0.0),) if needs[0] else (None,)
+        return (g * np.greater(out_v, _ZERO),) if needs[0] else (None,)
 
     return _record(out, (x,), grad_fn)
 
@@ -601,20 +615,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
             else:
                 pieces.append(None)
         return tuple(pieces)
-
-    return _record(out, tuple(tensors), grad_fn)
-
-
-def stack(tensors) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis. Its record keeps
-    nothing but the operands."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise DimensionError("stack: no tensors")
-    out = Tensor(np.stack([t.values for t in tensors], axis=0))
-
-    def grad_fn(g, needs):
-        return tuple(g[i] if needs[i] else None for i in range(len(tensors)))
 
     return _record(out, tuple(tensors), grad_fn)
 

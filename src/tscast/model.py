@@ -49,6 +49,16 @@ CHECKPOINT_FORMAT = "tscast-checkpoint"
 CHECKPOINT_VERSION = 2
 
 
+def _check_integers(config, least_values) -> None:
+    """Raise a ValueError naming the first of ``config``'s fields in
+    ``least_values``, (name, least) pairs, that is not an integer (bool
+    excluded) of at least ``least``."""
+    for name, least in least_values:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"config field {name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class ForecasterConfig:
     """Architecture hyperparameters.
@@ -69,14 +79,10 @@ class ForecasterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        least_values = (
+        _check_integers(self, (
             ("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
             ("gru_hidden", 1), ("ar_window", 1), ("seed", 0),
-        )
-        for name, least in least_values:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"config field {name} must be an integer >= {least}, got {value!r}")
+        ))
         if self.T % 4 != 0:
             raise ValueError(f"input length T={self.T} must be a multiple of 4")
         if self.ar_window > self.T:

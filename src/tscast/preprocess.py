@@ -160,6 +160,10 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
     ``block`` is (T,), (T, v), or (..., T, v) with leading batch axes; rows
     are the second-to-last axis of a 2-d or larger block.
     [1, 2, 3, 4] with factor 2 gives [1.5, 3.5]; with factor 4 gives [2.5].
+
+    The mean is the sum over each group divided by ``factor``: the two
+    ufunc calls ``ndarray.mean`` makes inside its Python wrapper, so the
+    bits are the same.
     """
     block = np.asarray(block, dtype=np.float64)
     squeeze = block.ndim == 1
@@ -170,7 +174,8 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"downsample factor must be 2 or 4, got {factor}")
     if t_len % factor != 0:
         raise ValueError(f"length {t_len} is not divisible by factor {factor}")
-    out = block.reshape(*lead, t_len // factor, factor, v).mean(axis=-2)
+    out = np.add.reduce(block.reshape(*lead, t_len // factor, factor, v), axis=-2)
+    np.true_divide(out, factor, out=out)
     return out[:, 0] if squeeze else out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, constant, mean_all
 from .metrics import check_radius, dtw_multivariate, mae_metric
-from .model import ForecasterConfig, ForecasterParams, forecast, forecast_batch, init_forecaster
+from .model import ForecasterConfig, ForecasterParams, _check_integers, forecast, forecast_batch, init_forecaster
 from .preprocess import ForecastWindow, SeriesFrame, blocked_kfold, build_windows
 
 __all__ = [
@@ -32,7 +32,21 @@ __all__ = [
     "validation_split",
 ]
 
-PREDICT_CHUNK = 64  # most windows per forecast_batch call in predict_windows
+PREDICT_BYTES = 16 * 2**20  # activations one forecast_batch call of predict_windows may hold
+ROW_BLOCK = 32  # predict_windows chunks start at multiples of this and hold at least this many
+# a small model's chunk stops here: at the ablation config 128 windows peak at
+# 0.58 MB of arrays, below the 0.85 MB of one training step at batch 64, and
+# 256 windows would peak at 1.15 MB
+MAX_PREDICT_CHUNK = 128
+# sliding_forecast stops a rollout once a value leaves the context's
+# midpoint +- ROLLOUT_REACH context ranges. The range is floored at
+# MIN_CONTEXT_RANGE (model units, where a normalised series has std 1), so a
+# flat context still leaves room. Untrained models of the benchmark's 32
+# variants reach at most 314 ranges in their rollouts (a 10-step rollout of
+# a paper-default model). A diverging one-step rollout (49 at step 20 and
+# 1e4 at step 40 on a context of range 2.2) then trips at step 42, where a
+# reach of 100 would trip at step 24.
+ROLLOUT_REACH, MIN_CONTEXT_RANGE = 1e4, 1.0
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -49,10 +63,7 @@ class TrainConfig:
         real = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
         if not (real and math.isfinite(lr) and lr > 0):
             raise ValueError(f"config field learning_rate must be a positive finite number, got {lr!r}")
-        for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"config field {name} must be an integer >= {least}, got {value!r}")
+        _check_integers(self, (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)))
 
 
 @dataclass
@@ -185,17 +196,34 @@ def validation_split(windows: list[ForecastWindow]) -> tuple[list[ForecastWindow
     return windows[:-n_val], windows[-n_val:]
 
 
+def _predict_chunk(config: ForecasterConfig) -> int:
+    """Most windows per ``forecast_batch`` call in :func:`predict_windows`.
+
+    A window's activations in ``forecast_batch`` are, per stream, the two
+    conv outputs and the GRU's input projections, (2 * n_filters + 3 * H)
+    float64 values per time step over T + T/2 + T/4 steps: 224 KiB at the
+    paper defaults, 7 KiB at the ablation config. The chunk is as many
+    whole blocks of ``ROW_BLOCK`` windows as fit in ``PREDICT_BYTES``, at
+    least one block and at most ``MAX_PREDICT_CHUNK`` windows: 64 at the
+    defaults, 128 at the ablation config.
+    """
+    steps = config.T + config.T // 2 + config.T // 4
+    per_window = 8 * steps * (2 * config.n_filters + 3 * config.gru_hidden)
+    blocks = PREDICT_BYTES // per_window // ROW_BLOCK
+    return min(MAX_PREDICT_CHUNK, max(1, blocks) * ROW_BLOCK)
+
+
 def predict_windows(
     params: ForecasterParams, config: ForecasterConfig, windows: list[ForecastWindow]
 ) -> np.ndarray:
     """Forecast a list of windows on frozen parameters; returns (N, L, v).
 
     The windows go through ``forecast_batch`` in chunks of at most
-    ``PREDICT_CHUNK``, which bounds the memory a call holds. A last chunk
-    shorter than ``PREDICT_CHUNK // 2`` takes that many windows from the
-    chunk before it, so every chunk starts at a multiple of
-    ``PREDICT_CHUNK // 2`` and holds at least that many (unless N is
-    smaller). Every row then meets the BLAS kernels it would meet in one
+    :func:`_predict_chunk` windows, which bounds the memory a call holds. A
+    last chunk shorter than ``ROW_BLOCK`` takes that many windows from the
+    chunk before it, so every chunk starts at a multiple of ``ROW_BLOCK``
+    and holds at least that many (unless N is smaller). Every row then
+    meets the BLAS kernels it would meet in one
     batch of all N windows, and gets the same bits: OpenBLAS computes
     products of a few rows on other paths (matrix-vector for one row, a
     small-matrix kernel for the GRU's recurrent products below about 19
@@ -205,9 +233,9 @@ def predict_windows(
     n = len(windows)
     if n == 0:
         raise ValueError("predict_windows: no windows to forecast (got an empty list)")
-    bounds = list(range(0, n, PREDICT_CHUNK)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] < PREDICT_CHUNK // 2:
-        bounds[-2] -= PREDICT_CHUNK // 2
+    bounds = list(range(0, n, _predict_chunk(config))) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < ROW_BLOCK:
+        bounds[-2] -= ROW_BLOCK
     outputs = []
     for lo, hi in zip(bounds, bounds[1:]):
         inputs = np.stack([w.input for w in windows[lo:hi]])
@@ -359,7 +387,10 @@ def sliding_forecast(
 
     Closed-loop error compounds with every slide, so roll out with a model
     whose horizon L fits the job: a one-step model slid dozens of steps
-    can diverge even when its one-step error is tiny.
+    can diverge even when its one-step error is tiny. Such a rollout is
+    stopped: once a forecast value (NaN included) lies outside the
+    context's midpoint +- ``ROLLOUT_REACH`` times its range, per variable,
+    a ValueError names the step, the value and the bound.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 1:
@@ -379,6 +410,18 @@ def sliding_forecast(
     slides = -(-total_steps // config.L)
     rolled = np.empty((config.T + slides * config.L, series.shape[1]))  # context, then each slide's L rows
     rolled[: config.T] = series[start - config.T : start]
+    lo, hi = rolled[: config.T].min(axis=0), rolled[: config.T].max(axis=0)
+    mid = (lo + hi) / 2
+    reach = ROLLOUT_REACH * np.maximum(hi - lo, MIN_CONTEXT_RANGE)
+    end = config.T + total_steps
     for at in range(config.T, len(rolled), config.L):
         rolled[at : at + config.L] = forecast(rolled[at - config.T : at], params, config).values
-    return rolled[config.T : config.T + total_steps]
+        inside = np.abs(rolled[at : min(at + config.L, end)] - mid) <= reach  # the kept steps of this slide
+        if not inside.all():
+            row, j = np.argwhere(~inside)[0]
+            raise ValueError(
+                f"sliding_forecast: the rollout diverged at step {at - config.T + row}: variable {j} is "
+                f"{rolled[at + row, j]:.6g}, outside [{mid[j] - reach[j]:.6g}, {mid[j] + reach[j]:.6g}], the "
+                f"context's midpoint +- {ROLLOUT_REACH:g} times its range"
+            )
+    return rolled[config.T : end]

@@ -430,8 +430,10 @@ def test_gru_sequence_equals_loop_reference_bit_for_bit(batch, c_in, t_len, hidd
 
 
 def test_sigmoid_equals_select_reference_bit_for_bit():
-    special = [0.0, 1e-300, 40.0, 745.0, 1000.0, np.inf]
-    v = np.array(special + [-s for s in special] + [np.nan])
+    special = np.array([0.0, 5e-324, 1e-300, 40.0, 745.0, 746.0, 1000.0, np.inf, np.nan])
+    rng = np.random.default_rng(16)
+    sweep = [rng.normal(size=25_000) * scale for scale in (0.01, 1.0, 10.0, 100.0)]
+    v = np.concatenate([special, -special, *sweep])  # -special holds -0 and a NaN with its sign bit set
     want = _ref_sigmoid(v).view(np.uint64)
     assert np.array_equal(ad.sigmoid(v).values.view(np.uint64), want)
     inplace = v.copy()
@@ -521,10 +523,6 @@ def test_grad_shape_ops():
     m1, m2 = _param(2, 5), _param(3, 5)
     r2 = _proj((5, 5))
     _check_op(lambda: mean_all(ad.concat([m1, m2], axis=0) * r2), [m1, m2])
-
-    s1, s2 = _param(4), _param(4)
-    r3 = _proj((2, 4))
-    _check_op(lambda: mean_all(ad.stack([s1, s2]) * r3), [s1, s2])
 
     m = _param(4, 6)
     r6 = _proj((6, 4))

@@ -183,6 +183,24 @@ def test_forecast_command_long_format(tmp_path):
     float(value)
 
 
+def test_forecast_stops_a_diverging_rollout(tmp_path, capsys):
+    # a one-step model slid 100 steps on a series bounded by 2 in model
+    # units: unchecked, the rollout reached 1.46e11 at step 98
+    data = tmp_path / "data.csv"
+    write_table(data, ["y"], 100.0 + np.sin(np.arange(300.0) / 6.0)[:, None])
+    train_dir = tmp_path / "train"
+    assert run(["train", "--input", str(data), "--out-dir", str(train_dir), "--window", "16", "--epochs", "3"]) == 0
+    capsys.readouterr()
+    assert run([
+        "forecast", "--input", str(data), "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--steps", "100", "--out-dir", str(tmp_path / "fc"),
+    ]) == 1
+    err = capsys.readouterr().err
+    found = re.match(r"error: sliding_forecast: the rollout diverged at step (\d+): variable 0 is (\S+), outside \[", err)
+    assert found, err
+    assert int(found[1]) < 98 and abs(float(found[2])) > 1e4
+
+
 def test_forecast_reports_a_missing_checkpoint_file(tmp_path, capsys):
     data = tmp_path / "data.csv"
     _write_series_csv(data)

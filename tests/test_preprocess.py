@@ -158,6 +158,13 @@ def test_downsample_factor_four():
     assert np.array_equal(downsample_avg(np.array([1.0, 2.0, 3.0, 4.0]), 4), [2.5])
 
 
+@pytest.mark.parametrize("factor", [2, 4])
+def test_downsample_equals_ndarray_mean_byte_for_byte(factor):
+    block = np.random.default_rng(factor).normal(size=(5, 16, 3)) * 100.0  # (B, T, v)
+    want = block.reshape(5, 16 // factor, factor, 3).mean(axis=-2)
+    assert downsample_avg(block, factor).tobytes() == want.tobytes()
+
+
 def test_downsample_per_variable_independence():
     block = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
     out = downsample_avg(block, 2)
