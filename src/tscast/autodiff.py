@@ -25,7 +25,8 @@ The operation set is deliberately small:
   record with a hand-written backpropagation through time, returning the
   batch-major (B, H) final state; its weights come stacked, one (3H, ...)
   tensor per kind with the gate rows in z, r, h order, and its steps
-  write into buffers allocated once per call;
+  write into buffers allocated once per call, laid out so that every
+  per-step operand is a contiguous block (gates stored gate-major);
 - the pointwise nonlinearities relu / sigmoid / tanh (sigmoid takes exp
   of -|x| only, so it never overflows, and needs no select on the sign);
 - the shape and reduction helpers concat, transpose (any axis
@@ -38,9 +39,14 @@ zero.
 
 The kernels are written for a low fixed cost per numpy call, because a
 one-window forecast makes several hundred of them on tiny arrays: they
-call ufuncs directly with ``out=`` instead of augmented operators, pass
+call ufuncs directly with ``out`` instead of augmented operators, pass
 scalars as the 0-d arrays ``_ZERO``, ``_ONE`` and ``_MINUS_ONE`` (a Python
 float is converted again on every call), and take no bool-to-float cast.
+The recurrence's hot loops bind their ufuncs to locals and pass ``out``
+positionally, except to ``np.maximum``, where numpy 2.4 deprecates that.
+At B >= 32 a ufunc call on a strided (B, H) view costs about 2.5 times a
+contiguous one, so a GRU step makes one strided call forward and two in
+backward, each a write of a gate block.
 """
 
 from __future__ import annotations
@@ -344,7 +350,7 @@ def causal_conv1d(x, w, b) -> Tensor:
         )
     c_out, c_in, k = wv.shape
     t_len = xv.shape[-1]
-    if t_len < 1 or c_in < 1 or c_out < 1 or k < 1:
+    if xv.size == 0 or wv.size == 0:  # no sequence, step, channel or tap
         raise DimensionError(
             f"causal_conv1d: empty operand (input {xv.shape}, weight {wv.shape})"
         )
@@ -402,24 +408,29 @@ def causal_conv1d(x, w, b) -> Tensor:
 # recurrent sequence op
 
 
-def _sigmoid(v: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _sigmoid(v: np.ndarray, out: np.ndarray, e: np.ndarray, num: np.ndarray | None = None) -> np.ndarray:
     """Logistic function of ``v`` written into ``out``, which may be ``v``.
 
-    ``e`` is scratch of the same shape. With e = exp(-|v|), exp never
-    overflows and e lies in [0, 1]. The numerator max(e, copysign(1, v))
-    is max(e, 1) = 1 for v >= +0 and max(e, -1) = e for v <= -0, where
-    e = 1 exactly at -0; so it equals max(e, v >= 0) for every input, NaN
-    included (e is NaN and max propagates it), without a bool-to-float
-    cast. A single divide then gives 1 / (1 + e) or e / (1 + e) without a
-    select on the sign, with the same bits as the two-divide form, ±0,
-    subnormals, ±inf and NaN included.
+    ``e`` is scratch of the same shape, and so is ``num``, which holds the
+    numerator (``out`` when not given) and may be ``v``. With
+    e = exp(-|v|), exp never overflows and e lies in [0, 1]. The numerator
+    max(e, copysign(1, v)) is max(e, 1) = 1 for v >= +0 and max(e, -1) = e
+    for v <= -0, where e = 1 exactly at -0; so it equals max(e, v >= 0) for
+    every input, NaN included (e is NaN and max propagates it), without a
+    bool-to-float cast. A single divide then gives 1 / (1 + e) or
+    e / (1 + e) without a select on the sign, with the same bits as the
+    two-divide form, ±0, subnormals, ±inf and NaN included. Only that
+    divide writes ``out``, so ``out`` can be a strided view while the other
+    calls run on contiguous scratch.
     """
-    np.copysign(v, _MINUS_ONE, out=e)  # -|v|
-    np.exp(e, out=e)
-    np.copysign(_ONE, v, out=out)
-    np.maximum(e, out, out=out)
-    np.add(e, _ONE, out=e)
-    np.divide(out, e, out=out)
+    if num is None:
+        num = out
+    np.copysign(v, _MINUS_ONE, e)  # -|v|
+    np.exp(e, e)
+    np.copysign(_ONE, v, num)
+    np.maximum(e, num, out=num)  # numpy 2.4 deprecates a positional out for maximum
+    np.add(e, _ONE, e)
+    np.divide(num, e, out)
     return out
 
 
@@ -443,13 +454,26 @@ def gru_sequence(x, w, u, b) -> Tensor:
         cand = tanh(W_h x_t + U_h (r * h) + b_h)
         h = (1 - z) * h + z * cand
 
-    The input projections of all steps are one (T*B, C) @ (C, 3H) GEMM.
-    The gate activations are kept while a tape records, and backward is
-    hand-written backpropagation through time. Both sweeps write each step
-    into arrays allocated once per call, and walk the per-step rows of
-    those arrays as views zipped over the time axis (the transposed ``u``
-    blocks too are taken once per call), so a step pays for its ufunc
-    calls and no indexing. Untaped, the state alternates between two rows.
+    Every per-step operand of a ufunc call is a contiguous (B, H) or
+    (B, 2H) block, because a call on a strided column block costs about
+    2.5 times as much at B >= 32. The input projections of all steps are
+    two GEMMs on the (T*B, C) input rows, one per row block of ``w``,
+    giving the time-major (T, B, 2H) gate and (T, B, H) candidate
+    projections with their biases added in place. The gate activations are
+    stored gate-major, (T, 2, B, H): the sigmoid runs on contiguous scratch
+    and only its last divide writes the strided (B, 2, H) view of the
+    step, so z and r are contiguous blocks. Backward is hand-written
+    backpropagation through time into the gate pre-activation gradients
+    (T, B, 3H); a step writes that array twice through strided views (the
+    candidate block, and the gate block once from a gate-major scratch),
+    and its two recurrent GEMMs read those blocks in place. A step makes
+    no other strided call.
+
+    Both sweeps write each step into arrays allocated once per call, and
+    walk the per-step blocks of those arrays as views zipped over the time
+    axis (the transposed ``u`` blocks too are taken once per call), so a
+    step pays for its ufunc calls and no indexing. Untaped, the state
+    alternates between two rows.
 
     The record keeps the operands, the T + 1 states, the T gate pairs and
     the T candidates. r * h is written each step into one scratch row;
@@ -476,63 +500,74 @@ def gru_sequence(x, w, u, b) -> Tensor:
     h2 = 2 * hidden
     u_zr, u_h = u.values[:h2], u.values[h2:]  # row views (2H, H), (H, H)
     u_zr_t, u_h_t = u_zr.T, u_h.T
-    proj = _time_major(xv) @ w.values.T
-    np.add(proj, b.values, out=proj)
-    proj = proj.reshape(t_len, n, 3 * hidden)
+    rows_in = _time_major(xv)
+    p_zr = rows_in @ w.values[:h2].T
+    np.add(p_zr, b.values[:h2], p_zr)
+    p_h = rows_in @ w.values[h2:].T
+    np.add(p_h, b.values[h2:], p_h)
+    del rows_in
 
     # Per step: the state entering it, the gates [z, r] and the candidate;
     # r * h goes to one scratch row. Without a tape only the latest step is
-    # held, and the state alternates between two rows. Every per-step row view is made here,
-    # before the loop, or by the iterators it zips.
+    # held, and the state alternates between two rows. Every per-step view
+    # is made here, before the loop, or by the iterators it zips.
     depth = t_len if keep else 1
     hs = np.zeros((depth + 1, n, hidden))
-    zrs = np.empty((depth, n, h2))
+    zrs = np.empty((depth, 2, n, hidden))  # gate-major: zrs[t, 0] is z, zrs[t, 1] is r
+    zrs_bm = zrs.transpose(0, 2, 1, 3)  # the (B, 2, H) view of each step, which the sigmoid writes
     cands = np.empty((depth, n, hidden))
     rh = np.empty((n, hidden))  # r * h of the current step only
-    e = np.empty((n, h2))  # sigmoid scratch
+    a, e = np.empty((2, n, h2))  # gate pre-activations [z, r] and sigmoid scratch
+    a3, e3 = a.reshape(n, 2, hidden), e.reshape(n, 2, hidden)
     if keep:
-        rows = zip(hs[:-1], hs[1:], zrs, zrs[:, :, :hidden], zrs[:, :, hidden:], cands)
+        rows = zip(hs[:-1], hs[1:], zrs_bm, zrs[:, 0], zrs[:, 1], cands)
     else:
-        step = zrs[0], zrs[0, :, :hidden], zrs[0, :, hidden:], cands[0]
+        step = zrs_bm[0], zrs[0, 0], zrs[0, 1], cands[0]
         rows = itertools.cycle([(hs[0], hs[1], *step), (hs[1], hs[0], *step)])
-    for p_zr, p_h, (h, h_next, zr, z, r, cand) in zip(proj[:, :, :h2], proj[:, :, h2:], rows):
-        np.dot(h, u_zr_t, out=zr)
-        np.add(zr, p_zr, out=zr)
-        _sigmoid(zr, zr, e)
-        np.multiply(r, h, out=rh)
-        np.dot(rh, u_h_t, out=cand)
-        np.add(cand, p_h, out=cand)
-        np.tanh(cand, out=cand)
-        np.subtract(cand, h, out=h_next)
-        np.multiply(h_next, z, out=h_next)
-        np.add(h_next, h, out=h_next)  # h + z * (cand - h)
+    dot, add, mul, sub, tanh_, sigmoid_ = np.dot, np.add, np.multiply, np.subtract, np.tanh, _sigmoid
+    for pz, ph, (h, h_next, zr, z, r, cand) in zip(
+        p_zr.reshape(t_len, n, h2), p_h.reshape(t_len, n, hidden), rows
+    ):
+        dot(h, u_zr_t, a)
+        add(a, pz, a)
+        sigmoid_(a3, zr, e3, a3)
+        mul(r, h, rh)
+        dot(rh, u_h_t, cand)
+        add(cand, ph, cand)
+        tanh_(cand, cand)
+        sub(cand, h, h_next)
+        mul(h_next, z, h_next)
+        add(h_next, h, h_next)  # h + z * (cand - h)
     out = Tensor(hs[t_len if keep else t_len % 2])
 
     def grad_fn(g, needs):
         da = np.empty((t_len, n, 3 * hidden))  # gradient of the gate pre-activations
         dh = g.copy()
         dcand, drh, tmp = np.empty((3, n, hidden))  # drh: gradient of r * h
-        tmp_zr = np.empty((n, h2))
+        s, f = np.empty((2, 2, n, hidden))  # gate-major [dh * (cand - h), drh * h] and zr * (1 - zr)
+        s_z, s_r = s
+        one = _ONE
         zrs_b, da_b = zrs[::-1], da[::-1]  # time-reversed views
-        for h, zr, z, r, cand, da_zr, da_z, da_r, da_h in zip(
-            hs[-2::-1], zrs_b, zrs_b[:, :, :hidden], zrs_b[:, :, hidden:], cands[::-1],
-            da_b[:, :, :h2], da_b[:, :, :hidden], da_b[:, :, hidden:h2], da_b[:, :, h2:],
+        da_zr_gm = da_b[:, :, :h2].reshape(t_len, n, 2, hidden).transpose(0, 2, 1, 3)
+        for h, zr, z, r, cand, da_zr, da_zr_g, da_h in zip(
+            hs[-2::-1], zrs_b, zrs_b[:, 0], zrs_b[:, 1], cands[::-1],
+            da_b[:, :, :h2], da_zr_gm, da_b[:, :, h2:],
         ):
-            np.multiply(dh, z, out=dcand)
-            np.multiply(cand, cand, out=tmp)
-            np.subtract(_ONE, tmp, out=tmp)
-            np.multiply(dcand, tmp, out=da_h)
-            np.dot(da_h, u_h, out=drh)
-            np.subtract(cand, h, out=tmp)
-            np.multiply(dh, tmp, out=da_z)
-            np.multiply(drh, h, out=da_r)
-            np.subtract(_ONE, zr, out=tmp_zr)
-            np.multiply(tmp_zr, zr, out=tmp_zr)
-            np.multiply(da_zr, tmp_zr, out=da_zr)
+            mul(dh, z, dcand)
+            mul(cand, cand, tmp)
+            sub(one, tmp, tmp)
+            mul(dcand, tmp, da_h)
+            dot(da_h, u_h, drh)
+            sub(cand, h, tmp)
+            mul(dh, tmp, s_z)
+            mul(drh, h, s_r)
+            sub(one, zr, f)
+            mul(f, zr, f)
+            mul(s, f, da_zr_g)
             # dh = ((dh - dcand) + drh * r) + da_zr @ u_zr, in that order
-            np.subtract(dh, dcand, out=dh)
-            np.add(dh, np.multiply(drh, r, out=tmp), out=dh)
-            np.add(dh, np.dot(da_zr, u_zr, out=tmp), out=dh)
+            sub(dh, dcand, dh)
+            add(dh, mul(drh, r, tmp), dh)
+            add(dh, dot(da_zr, u_zr, tmp), dh)
 
         da_rows = da.reshape(t_len * n, 3 * hidden)
         gx = None
@@ -540,7 +575,7 @@ def gru_sequence(x, w, u, b) -> Tensor:
             gx = np.ascontiguousarray((da_rows @ w.values).reshape(t_len, n, c_in).transpose(1, 2, 0))
         gu_zr = da_rows[:, :h2].T @ hs[:-1].reshape(t_len * n, hidden)
         # the candidates are spent: refill their buffer with every step's r * h
-        rhs = np.multiply(zrs[:, :, hidden:], hs[:-1], out=cands)
+        rhs = np.multiply(zrs[:, 1], hs[:-1], out=cands)
         gu_h = da_rows[:, h2:].T @ rhs.reshape(t_len * n, hidden)
         gw = da_rows.T @ _time_major(xv)  # the input rows, rebuilt rather than kept
         return gx, gw, np.concatenate([gu_zr, gu_h]), da_rows.sum(axis=0)

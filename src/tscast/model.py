@@ -331,6 +331,8 @@ def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) 
         raise ValueError(
             f"batch shape {windows.shape} does not match (B, T={config.T}, v={config.v})"
         )
+    if len(windows) == 0:
+        raise ValueError(f"forecast_batch: no windows to forecast (got an empty batch of shape {windows.shape})")
 
     states = []
     streams = (params.full, params.half, params.quarter)

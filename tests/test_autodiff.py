@@ -77,6 +77,9 @@ def test_causal_conv_rejects_empty():
         causal_conv1d(constant(np.zeros((1, 0))), constant(np.zeros((1, 1, 1))), constant([0.0]))
     with pytest.raises(DimensionError):
         causal_conv1d(constant(np.zeros((2, 4))), constant(np.zeros((1, 3, 2))), constant([0.0]))
+    for k in (1, 3):  # an empty batch, not only an empty sequence
+        with pytest.raises(DimensionError, match=r"empty operand \(input \(0, 1, 5\)"):
+            causal_conv1d(constant(np.zeros((0, 1, 5))), constant(np.zeros((2, 1, k))), constant([0.0, 0.0]))
 
 
 def test_pointwise_values():
@@ -410,6 +413,9 @@ def _ref_gru_sequence(xv, wv, uv, bv, g):
     (64, 4, 4, 8, 0.3),      # and quarter resolution
     (1, 4, 16, 8, 0.3),      # one ablation-small window
     (3, 2, 2, 4, 0.3),       # even T: the untaped state ends in the row it started in
+    (33, 32, 16, 64, 0.3),   # one row past a GEMM tile under the split projections
+    (2, 5, 7, 19, 0.3),      # odd sizes everywhere: edge tiles in every product
+    (64, 1, 3, 1, 0.3),      # one channel, one unit: the gate-major blocks are columns
 ])
 def test_gru_sequence_equals_loop_reference_bit_for_bit(batch, c_in, t_len, hidden, scale):
     rng = np.random.default_rng(batch + t_len + hidden)
@@ -437,8 +443,13 @@ def test_sigmoid_equals_select_reference_bit_for_bit():
     want = _ref_sigmoid(v).view(np.uint64)
     assert np.array_equal(ad.sigmoid(v).values.view(np.uint64), want)
     inplace = v.copy()
-    ad._sigmoid(inplace, inplace, np.empty_like(v))  # the in-place form gru_sequence uses
+    ad._sigmoid(inplace, inplace, np.empty_like(v))  # the in-place form
     assert np.array_equal(inplace.view(np.uint64), want)
+    # the form gru_sequence calls: the input is the numerator scratch, and
+    # the divide writes a strided view
+    scratch, strided = v.copy(), np.full((v.size, 2), 7.0)[:, 1]
+    ad._sigmoid(scratch, strided, np.empty_like(v), scratch)
+    assert np.array_equal(strided.view(np.uint64), want)
 
 
 def test_sigmoid_does_not_overflow():

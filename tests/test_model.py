@@ -497,6 +497,12 @@ def test_forecast_batch_matches_single():
         assert np.allclose(batched[:, i, :], single, atol=1e-10)
 
 
+def test_forecast_batch_rejects_an_empty_batch():
+    params = init_forecaster(TINY)
+    with pytest.raises(ValueError, match=r"empty batch of shape \(0, 8, 2\)"):
+        forecast_batch(np.zeros((0, 8, 2)), params, TINY)
+
+
 @pytest.mark.parametrize("use_ar_shortcut", [True, False])
 def test_forecast_is_a_batch_of_one_bit_for_bit(use_ar_shortcut):
     config = replace(TINY, use_ar_shortcut=use_ar_shortcut)
