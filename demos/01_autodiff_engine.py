@@ -21,7 +21,7 @@ rng = np.random.default_rng(0)
 
 # Leaves are plain tensors; requires_grad marks the ones we differentiate.
 w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-x = constant(rng.normal(size=4))
+x = constant(rng.normal(size=(4, 1)))  # matmul takes matrices: x is a column
 
 # Operations only record when a tape is active.
 # backward consumes the tape, freeing each record once it has been swept.
@@ -49,16 +49,17 @@ print(f"max relative error vs finite differences: {rel:.2e}")
 # Causal convolution: the kernel's last tap reads the current step, so
 # nothing at time t can see times > t. Content before a perturbation
 # point is reproduced bit for bit.
-signal = constant(rng.normal(size=(1, 10)))
+# Its input is a batch of (channels, time) sequences, here one of one channel.
+signal = constant(rng.normal(size=(1, 1, 10)))
 kernel = constant(rng.normal(size=(2, 1, 3)))
 bias = constant(np.zeros(2))
 base = causal_conv1d(signal, kernel, bias).values
 
 bumped = signal.values.copy()
-bumped[:, 6:] += 100.0
+bumped[..., 6:] += 100.0
 after = causal_conv1d(constant(bumped), kernel, bias).values
 print("outputs before t=6 identical after future perturbation:",
-      bool(np.array_equal(base[:, :6], after[:, :6])))
+      bool(np.array_equal(base[..., :6], after[..., :6])))
 
 # relu's derivative at exactly zero is defined as 0.
 z = Tensor(np.array([0.0]), requires_grad=True)

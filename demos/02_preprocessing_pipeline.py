@@ -38,7 +38,7 @@ print("round trip max error:", np.max(np.abs(back.data - frame.data)))
 
 # The smoother is a normalized 5-tap Gaussian with std 2; reflect padding
 # keeps constants constant and affine interiors affine.
-print("kernel:", np.round(gaussian_kernel(5, 2.0), 4), "sums to", gaussian_kernel(5, 2.0).sum())
+print("kernel:", np.round(gaussian_kernel(), 4), "sums to", gaussian_kernel().sum())
 smoothed = gaussian_smooth(normed)
 print("smoothing reduced per-column std to:", np.round(smoothed.data.std(axis=0), 3))
 

@@ -18,9 +18,9 @@ frozen parameters free of bookkeeping.
 The operation set is deliberately small:
 
 - elementwise add / sub / mul, which broadcast like numpy;
-- matmul, where a vector is a one-row or one-column matrix, and
-  causal_conv1d computed as one product per kernel tap (a GEMM, or a
-  broadcast multiply when there is one input channel);
+- matmul of two matrices, and causal_conv1d over a (B, C_in, T) batch,
+  computed as one product per kernel tap (a GEMM, or a broadcast
+  multiply when there is one input channel);
 - gru_sequence, a whole GRU recurrence over a (B, C, T) batch as one
   record with a hand-written backpropagation through time, returning the
   batch-major (B, H) final state; its weights come stacked, one (3H, ...)
@@ -290,24 +290,16 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product of operands of rank 1 or 2.
-
-    A vector on the left is a one-row matrix and a vector on the right a
-    one-column matrix; both gradients are computed on these 2-D views.
-    The record keeps the operands and those views of their values.
-    """
+    """Product of two matrices. The record keeps the operands."""
     a, b = _as_tensor(a), _as_tensor(b)
     av, bv = a.values, b.values
-    if av.ndim not in (1, 2) or bv.ndim not in (1, 2) or av.shape[-1] != bv.shape[0]:
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: cannot multiply {av.shape} @ {bv.shape}")
     out = Tensor(av @ bv)
-    a2 = av if av.ndim == 2 else av[None, :]
-    b2 = bv if bv.ndim == 2 else bv[:, None]
 
     def grad_fn(g, needs):
-        g2 = g.reshape(a2.shape[0], b2.shape[1])
-        ga = (g2 @ b2.T).reshape(av.shape) if needs[0] else None
-        gb = (a2.T @ g2).reshape(bv.shape) if needs[1] else None
+        ga = g @ bv.T if needs[0] else None
+        gb = av.T @ g if needs[1] else None
         return ga, gb
 
     return _record(out, (a, b), grad_fn)
@@ -325,16 +317,15 @@ def _padded_rows(xb: np.ndarray, span: int) -> np.ndarray:
 def causal_conv1d(x, w, b) -> Tensor:
     """Causal 1-d convolution: left-pad with K-1 zeros, keep length.
 
-    ``x`` is (C_in, T) or batched (B, C_in, T); ``w`` is (C_out, C_in, K)
-    and ``b`` is (C_out,). The kernel's last tap w[..., K-1] multiplies the
-    current time step, so output at time t depends only on inputs at
-    times <= t.
+    ``x`` is (B, C_in, T), ``w`` is (C_out, C_in, K) and ``b`` is
+    (C_out,); the output is (B, C_out, T). The kernel's last tap
+    w[..., K-1] multiplies the current time step, so output at time t
+    depends only on inputs at times <= t.
 
     The forward pass and both gradients are one GEMM per tap on shifted
     views of the padded input; no K-fold copy of the input is made. With
     one input channel the forward tap products are broadcast multiplies,
     which give the same values as GEMMs with an inner dimension of one.
-    An unbatched input is computed as a batch of one.
 
     The record keeps the operands and the (K, C_in, C_out) tap matrix. The
     padded time-major copy of the input is not kept: the weight gradient
@@ -344,20 +335,13 @@ def causal_conv1d(x, w, b) -> Tensor:
     xv, wv, bv = x.values, w.values, b.values
     if wv.ndim != 3 or bv.ndim != 1 or wv.shape[0] != bv.shape[0]:
         raise DimensionError(f"causal_conv1d: weight {wv.shape} / bias {bv.shape}")
-    if xv.ndim not in (2, 3) or xv.shape[-2] != wv.shape[1]:
-        raise DimensionError(
-            f"causal_conv1d: input {xv.shape} does not match weight {wv.shape}"
-        )
+    if xv.ndim != 3 or xv.shape[1] != wv.shape[1]:
+        raise DimensionError(f"causal_conv1d: input {xv.shape} does not match weight {wv.shape}")
     c_out, c_in, k = wv.shape
-    t_len = xv.shape[-1]
+    n, _, t_len = xv.shape
     if xv.size == 0 or wv.size == 0:  # no sequence, step, channel or tap
-        raise DimensionError(
-            f"causal_conv1d: empty operand (input {xv.shape}, weight {wv.shape})"
-        )
+        raise DimensionError(f"causal_conv1d: empty operand (input {xv.shape}, weight {wv.shape})")
 
-    batched = xv.ndim == 3
-    xb = xv if batched else xv[None]
-    n = xb.shape[0]
     # Time-major rows: row j of the flattened padded input is sequence
     # j // span at padded time j % span, so output row j is the sum over taps
     # of xf[j + tap] @ w[:, :, tap].T. The first `rows` rows cover every
@@ -365,7 +349,7 @@ def causal_conv1d(x, w, b) -> Tensor:
     # sequence (padded times >= T) are computed and dropped.
     span = t_len + k - 1
     rows = n * span - (k - 1)
-    xf = _padded_rows(xb, span)
+    xf = _padded_rows(xv, span)
     taps = np.ascontiguousarray(wv.transpose(2, 1, 0))  # (K, C_in, C_out)
     yf = np.empty((n * span, c_out))
     prod = np.empty((rows, c_out))
@@ -378,12 +362,12 @@ def causal_conv1d(x, w, b) -> Tensor:
         np.add(acc, tap_product(xf[tap : tap + rows], taps[tap], out=prod), out=acc)
     out_v = np.empty((n, c_out, t_len))
     np.add(yf.reshape(n, span, c_out)[:, :t_len, :].transpose(0, 2, 1), bv[:, None], out=out_v)
-    out = Tensor(out_v if batched else out_v[0])
+    out = Tensor(out_v)
 
     def grad_fn(g, needs):
         gx = gw = gb = None
         gy = np.zeros((n, span, c_out))
-        gy[:, :t_len, :] = (g if batched else g[None]).transpose(0, 2, 1)
+        gy[:, :t_len, :] = g.transpose(0, 2, 1)
         gyf = gy.reshape(n * span, c_out)[:rows]  # dropped rows get zero gradient
         if needs[0]:
             gxf = np.zeros((n * span, c_in))
@@ -391,14 +375,13 @@ def causal_conv1d(x, w, b) -> Tensor:
             for tap in range(k):
                 acc = gxf[tap : tap + rows]
                 np.add(acc, np.matmul(gyf, taps[tap].T, out=back), out=acc)
-            gxb = np.ascontiguousarray(gxf.reshape(n, span, c_in)[:, k - 1 :, :].transpose(0, 2, 1))
-            gx = gxb if batched else gxb[0]
+            gx = np.ascontiguousarray(gxf.reshape(n, span, c_in)[:, k - 1 :, :].transpose(0, 2, 1))
         if needs[1]:
-            xf = _padded_rows(xb, span)  # rebuilt, not kept from the forward pass
+            xf = _padded_rows(xv, span)  # rebuilt, not kept from the forward pass
             gtaps = np.stack([xf[tap : tap + rows].T @ gyf for tap in range(k)])  # (K, C_in, C_out)
             gw = np.ascontiguousarray(gtaps.transpose(2, 1, 0))
         if needs[2]:
-            gb = g.sum(axis=(0, 2)) if batched else g.sum(axis=1)
+            gb = g.sum(axis=(0, 2))
         return gx, gw, gb
 
     return _record(out, (x, w, b), grad_fn)

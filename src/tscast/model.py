@@ -9,8 +9,7 @@ Parameters live in small dataclasses of autodiff Tensors. The forward
 pass has one implementation, :func:`forecast_batch`, over a batch of
 windows. Every piece below it takes a leading batch axis: windows are
 (B, T, v), GRU states are batch-major (B, H), and outputs are (L, B, v).
-:func:`conv_features` alone also takes an unbatched (v, T_r) input. The
-single-window :func:`forecast` is a batch of one, reshaped.
+The single-window :func:`forecast` is a batch of one, reshaped.
 """
 
 from __future__ import annotations
@@ -242,12 +241,8 @@ def multiscale_inputs(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def conv_features(x, stream: StreamParams) -> Tensor:
-    """Two causal conv layers with relu; output length equals input length.
-
-    ``x`` is (v, T_r) channel-major, or (B, v, T_r) batched.
-    """
-    if not isinstance(x, Tensor):
-        x = constant(x)
+    """Two causal conv layers with relu over (B, v, T_r) channel-major
+    windows; output length equals input length."""
     q = ad.relu(ad.causal_conv1d(x, stream.conv1_w, stream.conv1_b))
     return ad.relu(ad.causal_conv1d(q, stream.conv2_w, stream.conv2_b))
 
@@ -459,7 +454,10 @@ def _stored_array(path, name: str, entry) -> np.ndarray:
 
 def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = payload.get("version")

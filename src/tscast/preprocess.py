@@ -125,21 +125,17 @@ def _check_arity(frame: SeriesFrame, stats: NormStats) -> None:
         )
 
 
-def gaussian_kernel(size: int = 5, std: float = 2.0) -> np.ndarray:
-    """Normalized kernel exp(-k^2 / (2 std^2)) for k in [-(size-1)/2, (size-1)/2]."""
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"kernel size must be odd and >= 1, got {size}")
-    if std <= 0:
-        raise ValueError(f"kernel std must be positive, got {std}")
-    half = (size - 1) // 2
-    k = np.arange(-half, half + 1, dtype=np.float64)
-    kernel = np.exp(-(k**2) / (2.0 * std * std))
+def gaussian_kernel() -> np.ndarray:
+    """The smoothing kernel: exp(-k^2 / (2 std^2)) for k in -2 ... 2 with
+    std 2, normalized to sum to one."""
+    k = np.arange(-2, 3, dtype=np.float64)
+    kernel = np.exp(-(k**2) / 8.0)  # 2 std^2 = 8
     return kernel / kernel.sum()
 
 
 def gaussian_smooth(frame: SeriesFrame) -> SeriesFrame:
-    """Smooth each variable with a normalized 5-tap Gaussian of std 2,
-    :func:`gaussian_kernel` at its defaults.
+    """Smooth each variable with :func:`gaussian_kernel`, a normalized
+    5-tap Gaussian of std 2.
 
     Edges use reflect padding (mirror about the edge sample), so constant
     series pass through unchanged and interior points of affine series are

@@ -126,7 +126,6 @@ def default_ablation_train_config(seed: int = 0) -> TrainConfig:
 
 @dataclass
 class AblationArm:
-    use_ar_shortcut: bool
     mse_per_series: list[float]
     dtw_per_series: list[float]
 
@@ -170,12 +169,7 @@ def evaluate_arm(
         mse_list.append(float(np.mean((pred - truth) ** 2)))
         dtw_list.append(dtw_multivariate(pred, truth, radius=None))
         predictions.append(pred)
-    arm = AblationArm(
-        use_ar_shortcut=model_config.use_ar_shortcut,
-        mse_per_series=mse_list,
-        dtw_per_series=dtw_list,
-    )
-    return arm, predictions
+    return AblationArm(mse_per_series=mse_list, dtw_per_series=dtw_list), predictions
 
 
 def ablation_run(
@@ -189,10 +183,13 @@ def ablation_run(
 
     The corpus is preprocessed, split and windowed once; both arms train
     on the same window list and are scored on the same held-out arrays.
+    An ``eval_steps`` outside 1 ... spec.length - T fails before training.
     """
     spec = spec or SynthSpec()
     model_config = model_config or default_ablation_model_config(seed=spec.seed)
     train_config = train_config or default_ablation_train_config(seed=spec.seed)
+    if not 1 <= eval_steps <= spec.length - model_config.T:
+        raise ValueError(f"eval_steps={eval_steps} must lie between 1 and length - T = {spec.length - model_config.T}")
     corpus = generate(spec)
     n_train = len(corpus) - max(1, int(round(HOLDOUT_FRACTION * len(corpus))))
     if n_train < 1:

@@ -105,10 +105,8 @@ def mse_loss(pred, target) -> Tensor:
 class AdamState:
     """Adam's step count and its first and second moments.
 
-    Each moment is one flat float64 buffer over every parameter in order,
-    ``m_flat`` and ``v_flat``. ``m[i]`` and ``v[i]`` are views of parameter
-    ``i``'s slice of them, in its shape, so writing through a view writes
-    the buffer that ``adam_step`` updates.
+    Each moment is one flat float64 buffer, ``m_flat`` or ``v_flat``, over
+    the parameters in order; parameter ``i`` owns its slice ``spans[i]``.
     """
 
     shapes: list[tuple[int, ...]]
@@ -118,8 +116,6 @@ class AdamState:
         ends = np.cumsum([0, *(math.prod(s) for s in self.shapes)]).tolist()
         self.spans = list(zip(ends[:-1], ends[1:]))
         self.m_flat, self.v_flat = np.zeros(ends[-1]), np.zeros(ends[-1])
-        self.m = [self.m_flat[lo:hi].reshape(s) for (lo, hi), s in zip(self.spans, self.shapes)]
-        self.v = [self.v_flat[lo:hi].reshape(s) for (lo, hi), s in zip(self.spans, self.shapes)]
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
@@ -339,10 +335,12 @@ def cross_validate(
     Per fold, a fresh model is trained on the train windows and scored on
     the test block: MSE and MAE at horizon 1, plus — for each requested
     multi-step horizon — FastDTW between the predicted and true paths,
-    using a model trained with that many output heads. A bad ``dtw_radius``
-    is rejected before any training.
+    using a model trained with that many output heads. A bad ``dtw_radius``,
+    horizon or ``k`` is rejected before any training.
     """
     check_radius(dtw_radius)
+    for horizon in horizons:  # horizon 1 fits whenever these do; fold_predictions(1) checks it first
+        blocked_kfold(len(build_windows(frame, model_config.T, horizon, stride)), k)
     metrics: dict[str, list[float]] = {"mse": [], "mae": []}
 
     def fold_predictions(horizon: int):

@@ -69,12 +69,12 @@ def test_criterion_1_gradient_suite():
         r = constant(rng.normal(size=(4, 5)))
         gradcheck(lambda: mean_all(ad.matmul(a, b) * r), [a, b])
 
-        m, x = param(5, 4), param(4)
-        rm = constant(rng.normal(size=5))
+        m, x = param(5, 4), param(4, 1)
+        rm = constant(rng.normal(size=(5, 1)))
         gradcheck(lambda: mean_all(ad.matmul(m, x) * rm), [m, x])
 
-        cx, cw, cb = param(3, 6), param(2, 3, 3), param(2)
-        rc = constant(rng.normal(size=(2, 6)))
+        cx, cw, cb = param(1, 3, 6), param(2, 3, 3), param(2)
+        rc = constant(rng.normal(size=(1, 2, 6)))
         gradcheck(lambda: mean_all(causal_conv1d(cx, cw, cb) * rc), [cx, cw, cb])
 
         for op in (ad.relu, ad.sigmoid, ad.tanh):
@@ -116,18 +116,18 @@ def test_criterion_2_causality_suite():
         w = constant(rng.normal(size=(3, 2, 5)))
         b = constant(rng.normal(size=3))
         for _ in range(100):
-            x = rng.normal(size=(2, 16))
+            x = rng.normal(size=(3, 2, 16))  # a batch of three (v, T) windows
             t = int(rng.integers(1, 16))
             bumped = x.copy()
-            bumped[:, t:] += rng.normal(size=(2, 16 - t)) * 10.0 ** rng.integers(-3, 4)
+            bumped[..., t:] += rng.normal(size=(3, 2, 16 - t)) * 10.0 ** rng.integers(-3, 4)
 
             conv_base = causal_conv1d(constant(x), w, b).values
             conv_bump = causal_conv1d(constant(bumped), w, b).values
-            assert np.array_equal(conv_base[:, :t], conv_bump[:, :t])
+            assert np.array_equal(conv_base[..., :t], conv_bump[..., :t])
 
             feat_base = conv_features(x, params.full).values
             feat_bump = conv_features(bumped, params.full).values
-            assert np.array_equal(feat_base[:, :t], feat_bump[:, :t])
+            assert np.array_equal(feat_base[..., :t], feat_bump[..., :t])
 
 
 def test_criterion_3_dtw_oracles():
@@ -149,7 +149,7 @@ def test_criterion_3_dtw_oracles():
         # of 1000 random pairs. The pairs are Gaussian-smoothed random
         # walks: every series in this artifact is smoothed before DTW sees
         # it, and iid-noise pairs defeat any multilevel scheme
-        kernel = gaussian_kernel(5, 2.0)
+        kernel = gaussian_kernel()
 
         def smoothed_walk(length):
             walk = np.cumsum(rng.normal(size=length))

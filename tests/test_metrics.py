@@ -356,7 +356,7 @@ def test_fastdtw_radius_one_accuracy():
     # multilevel scheme and is not representative
     from tscast.preprocess import gaussian_kernel
 
-    kernel = gaussian_kernel(5, 2.0)
+    kernel = gaussian_kernel()
     rng = np.random.default_rng(8)
     hits = 0
     trials = 300

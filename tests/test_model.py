@@ -170,8 +170,8 @@ def test_conv_features_zero_weights():
     stream = params.full
     stream.conv1_w.values[...] = 0.0
     stream.conv2_w.values[...] = 0.0
-    out = conv_features(np.random.default_rng(1).normal(size=(2, 8)), stream)
-    assert np.array_equal(out.values, np.zeros((3, 8)))
+    out = conv_features(np.random.default_rng(1).normal(size=(1, 2, 8)), stream)
+    assert np.array_equal(out.values, np.zeros((1, 3, 8)))
 
 
 def test_conv_features_identity_composition():
@@ -181,7 +181,7 @@ def test_conv_features_identity_composition():
     for w in (stream.conv1_w, stream.conv2_w):
         w.values[...] = 0.0
         w.values[0, 0, -1] = 1.0  # pick out the current time step
-    x = np.abs(np.random.default_rng(2).normal(size=(1, 8)))
+    x = np.abs(np.random.default_rng(2).normal(size=(1, 1, 8)))
     out = conv_features(x, stream)
     assert np.allclose(out.values, x)
 
@@ -189,14 +189,14 @@ def test_conv_features_identity_composition():
 def test_conv_features_causality_probe():
     rng = np.random.default_rng(3)
     params = init_forecaster(TINY)
-    x = rng.normal(size=(2, 8))
+    x = rng.normal(size=(1, 2, 8))
     base = conv_features(x, params.full).values
     for _ in range(20):
         t = rng.integers(1, 8)
         bumped = x.copy()
-        bumped[:, t:] += rng.normal(size=(2, 8 - t))
+        bumped[..., t:] += rng.normal(size=(1, 2, 8 - t))
         out = conv_features(bumped, params.full).values
-        assert np.array_equal(out[:, :t], base[:, :t])
+        assert np.array_equal(out[..., :t], base[..., :t])
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,10 @@ def gru_step(h, x, gru: GruParams) -> Tensor:
     h' = (1 - z) * h + z * cand
 
     where W_z, W_r, W_h are the row blocks of ``gru.w``, and likewise for
-    U and b. ``h`` is (B, H) and ``x`` is (B, C), one row per sequence, or
-    (H,) and (C,) for a single sequence. Each gate's columns are picked out
-    of the stacked products ``x wᵀ + b`` and ``h uᵀ`` by products with
-    identity columns, which are exact.
+    U and b. ``h`` is (B, H) and ``x`` is (B, C), one row per sequence.
+    Each gate's columns are picked out of the stacked products
+    ``x wᵀ + b`` and ``h uᵀ`` by products with identity columns, which
+    are exact.
     """
     if not isinstance(h, Tensor):
         h = constant(h)
@@ -234,15 +234,15 @@ def gru_step(h, x, gru: GruParams) -> Tensor:
 
 def test_gru_step_zero_params_hand_value():
     gru = _zero_gru(1, 1)
-    h1 = gru_step(np.array([1.0]), np.array([0.7]), gru)
+    h1 = gru_step(np.array([[1.0]]), np.array([[0.7]]), gru)
     # z = sigmoid(0) = 0.5, candidate = tanh(0) = 0, so h' = 0.5 * h
-    assert np.allclose(h1.values, [0.5])
+    assert np.allclose(h1.values, [[0.5]])
 
 
 def test_gru_step_zero_state_fixed_point():
     gru = _zero_gru(3, 2)
-    out = gru_step(np.zeros(3), np.array([1.0, -2.0]), gru)
-    assert np.array_equal(out.values, np.zeros(3))
+    out = gru_step(np.zeros((1, 3)), np.array([[1.0, -2.0]]), gru)
+    assert np.array_equal(out.values, np.zeros((1, 3)))
 
 
 def test_gru_step_convex_combination_bound():
@@ -252,8 +252,8 @@ def test_gru_step_convex_combination_bound():
     for _ in range(50):
         for t in (gru.w, gru.u, gru.b):
             t.values[...] = rng.normal(size=t.shape)
-        h = rng.normal(size=4) * 3.0
-        x = rng.normal(size=3)
+        h = rng.normal(size=(1, 4)) * 3.0
+        x = rng.normal(size=(1, 3))
         out = gru_step(h, x, gru).values
         assert np.all(np.abs(out) <= np.maximum(np.abs(h), 1.0) + 1e-12)
 
@@ -265,7 +265,7 @@ def test_gru_step_batch_rows_equal_single_calls():
     rows = gru_step(h, x, gru).values  # (B, H)
     assert rows.shape == (5, 4)
     for i in range(5):
-        assert np.max(np.abs(rows[i] - gru_step(h[i], x[i], gru).values)) <= 1e-15
+        assert np.max(np.abs(rows[i] - gru_step(h[i : i + 1], x[i : i + 1], gru).values[0])) <= 1e-15
 
 
 def test_gru_encode_single_step_matches_gru_step():
@@ -306,13 +306,13 @@ def test_gru_encode_rejects_unbatched_input():
 def _gru_step_oracle(x: Tensor, gru: GruParams) -> Tensor:
     """Final (B, H) GRU state of (B, C, T) input by composing gru_step over
     time on taped slices. Time step t is sliced out as a product with the
-    one-hot vector e_t, which is exact."""
+    one-hot column e_t, which is exact."""
     b, c, t_len = x.shape
     one_hot = np.eye(t_len)
     rows = ad.reshape(x, (b * c, t_len))
     h = constant(np.zeros((b, gru.u.shape[1])))
     for t in range(t_len):
-        h = gru_step(h, ad.reshape(ad.matmul(rows, constant(one_hot[t])), (b, c)), gru)
+        h = gru_step(h, ad.reshape(ad.matmul(rows, constant(one_hot[:, t : t + 1])), (b, c)), gru)
     return h
 
 
@@ -773,3 +773,13 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_that_is_not_json_names_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_forecaster(TINY), TINY)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])  # cut off mid-document
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: not a tscast-checkpoint file: ")

@@ -149,10 +149,18 @@ def test_ablation_rejects_a_corpus_with_no_training_series():
         ablation_run(SynthSpec(n_series=1, length=40), FAST_MODEL, FAST_TRAIN, eval_steps=8)
 
 
+@pytest.mark.parametrize("eval_steps", [0, -1, 25, 30])
+def test_ablation_rejects_a_bad_eval_steps_before_training(monkeypatch, eval_steps):
+    calls = []
+    monkeypatch.setattr(synth, "train_model", lambda *args: calls.append(args))
+    spec = SynthSpec(n_series=6, length=40, seed=2)  # at T=16, 1 ... 24 steps fit
+    with pytest.raises(ValueError, match=f"^eval_steps={eval_steps} must lie between 1 and"):
+        ablation_run(spec, FAST_MODEL, FAST_TRAIN, eval_steps=eval_steps)
+    assert calls == []
+
+
 def test_ablation_run_structure():
     result = ablation_run(SMALL_SPEC, FAST_MODEL, FAST_TRAIN, eval_steps=8)
-    assert result.with_shortcut.use_ar_shortcut is True
-    assert result.without_shortcut.use_ar_shortcut is False
     n_holdout = max(1, round(0.2 * SMALL_SPEC.n_series))
     assert len(result.with_shortcut.mse_per_series) == n_holdout
     assert len(result.traces) == n_holdout

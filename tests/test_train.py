@@ -96,18 +96,18 @@ def test_adam_zero_gradient_from_rest_keeps_params():
     before = params[0].values.copy()
     adam_step(params, [np.zeros(2)], state, TrainConfig())
     assert np.array_equal(params[0].values, before)
-    assert np.array_equal(state.m[0], np.zeros(2))
-    assert np.array_equal(state.v[0], np.zeros(2))
+    assert np.array_equal(state.m_flat, np.zeros(2))
+    assert np.array_equal(state.v_flat, np.zeros(2))
 
 
 def test_adam_moments_decay_on_zero_gradient():
     params = _toy_params([[1.0, 2.0]])
     state = AdamState.for_params(params)
-    state.m[0][...] = 1.0
-    state.v[0][...] = 4.0
+    state.m_flat[...] = 1.0
+    state.v_flat[...] = 4.0
     adam_step(params, [np.zeros(2)], state, TrainConfig())
-    assert np.allclose(state.m[0], train.BETA1 * 1.0)
-    assert np.allclose(state.v[0], train.BETA2 * 4.0)
+    assert np.allclose(state.m_flat, train.BETA1 * 1.0)
+    assert np.allclose(state.v_flat, train.BETA2 * 4.0)
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -161,16 +161,18 @@ def test_adam_rejects_a_gradient_shaped_unlike_its_parameter():
 
 
 def _ref_adam_step(params, grads, state, hyper):
-    """The per-tensor Adam loop that the fused step must match bit for bit."""
+    """The per-tensor Adam loop that the fused step must match bit for bit.
+    Each parameter's moments are its slice of the state's flat buffers."""
     state.step += 1
     t = state.step
     correct1 = 1.0 - train.BETA1**t
     correct2 = 1.0 - train.BETA2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = train.BETA1 * state.m[i] + (1.0 - train.BETA1) * g
-        state.v[i] = train.BETA2 * state.v[i] + (1.0 - train.BETA2) * g * g
-        m_hat = state.m[i] / correct1
-        v_hat = state.v[i] / correct2
+    for p, g, (lo, hi) in zip(params, grads, state.spans):
+        m = train.BETA1 * state.m_flat[lo:hi].reshape(p.shape) + (1.0 - train.BETA1) * g
+        v = train.BETA2 * state.v_flat[lo:hi].reshape(p.shape) + (1.0 - train.BETA2) * g * g
+        state.m_flat[lo:hi], state.v_flat[lo:hi] = m.reshape(-1), v.reshape(-1)
+        m_hat = m / correct1
+        v_hat = v / correct2
         p.values[...] = p.values - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + train.EPS)
     return params, state
 
@@ -196,8 +198,7 @@ def test_adam_step_matches_the_per_tensor_loop_bit_for_bit():
         adam_step(fused, grads, fused_state, hyper)
         _ref_adam_step(ref, [g.copy() for g in grads], ref_state, hyper)
         assert _bits(p.values for p in fused) == _bits(p.values for p in ref)
-        assert _bits(fused_state.m) == _bits(ref_state.m)
-        assert _bits(fused_state.v) == _bits(ref_state.v)
+        assert _bits([fused_state.m_flat, fused_state.v_flat]) == _bits([ref_state.m_flat, ref_state.v_flat])
     assert fused_state.step == ref_state.step == 20
 
 
@@ -363,6 +364,21 @@ def test_cross_validate_rejects_a_bad_radius_before_training(monkeypatch):
     for radius in (-1, 1.5, "1"):
         with pytest.raises(ValueError, match="^radius must be"):
             cross_validate(frame, config, TrainConfig(epochs=1), k=3, horizons=(3,), dtw_radius=radius)
+    assert calls == []
+
+
+@pytest.mark.parametrize("horizon, message", [
+    (0, "horizon L must be >= 1"),
+    (53, "cannot fit one window"),  # 8 + 53 > 60 rows
+    (51, "2 windows cannot form 3 folds"),
+])
+def test_cross_validate_rejects_a_bad_horizon_before_training(monkeypatch, horizon, message):
+    calls = []
+    monkeypatch.setattr(train, "train_model", lambda *args: calls.append(args))
+    frame = SeriesFrame(["y"], np.sin(np.arange(60.0) / 4.0)[:, None])
+    config = ForecasterConfig(v=1, T=8, L=1, seed=0, **TINY_MODEL)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(frame, config, TrainConfig(epochs=1), k=3, horizons=(3, horizon))
     assert calls == []
 
 
