@@ -46,8 +46,8 @@ print("smoothing reduced per-column std to:", np.round(smoothed.data.std(axis=0)
 print("downsample [1,2,3,4] by 2:", downsample_avg(np.array([1.0, 2.0, 3.0, 4.0]), 2))
 print("downsample [1,2,3,4] by 4:", downsample_avg(np.array([1.0, 2.0, 3.0, 4.0]), 4))
 
-# Supervised windows: input length must be a multiple of 4 so each window
-# supports the half and quarter resolutions.
+# Supervised windows of any length; the model reads lengths that are a
+# multiple of 4, so each window supports the half and quarter resolutions.
 windows = build_windows(smoothed, T=16, L=3, stride=4)
 print(f"built {len(windows)} windows of input (16 x 2) and target (3 x 2)")
 

@@ -12,7 +12,8 @@ Result tables are delimiter-separated text. Schemas:
 - history.csv:   epoch,train_mse,val_mse        (one row per epoch)
 - metrics.csv:   fold,<metric>,...              (one row per fold, then
                                                  ``mean`` and ``std`` rows)
-- forecast.csv:  step,variable,value            (long format)
+- forecast.csv:  step,variable,value            (long format, input's units;
+                                                 the smoothing is not undone)
 - traces.csv:    trace,series,step,value        (long format; series is
                                                  truth / with_shortcut /
                                                  without_shortcut)
@@ -36,8 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ForecasterConfig, load_checkpoint, save_checkpoint
-from .preprocess import SeriesFrame, build_windows, preprocess_frame
+from .metrics import mae_metric
+from .model import STREAMS, ForecasterConfig, load_checkpoint, save_checkpoint
+from .preprocess import SeriesFrame, build_windows, invert_normalizer, preprocess_frame
 from .synth import (
     SynthSpec,
     ablation_run,
@@ -90,6 +92,11 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
                 row = row[1:]
             if names is None and header:
                 names = [cell.strip() for cell in row]
+                for col_no, name in enumerate(names, start=1):
+                    if not name:
+                        raise CliError(f"{path}:{line_no}: column {col_no} has no name")
+                    if name in names[: col_no - 1]:
+                        raise CliError(f"{path}:{line_no}: column {col_no} repeats the name {name!r}")
                 width = len(names)
                 continue
             if width is None:
@@ -134,7 +141,8 @@ def _sha256(path) -> str:
 
 
 class RunManifest:
-    def __init__(self, command: str, config: dict, seeds: dict):
+    def __init__(self, out_dir: Path, command: str, config: dict, seeds: dict):
+        self.out_dir = out_dir
         self.payload = {
             "command": command,
             "config": config,
@@ -148,12 +156,20 @@ class RunManifest:
     def add_input(self, path) -> None:
         self.payload["inputs"][str(path)] = _sha256(path)
 
-    def add_artifact(self, path) -> None:
+    def add_artifact(self, name: str) -> Path:
+        """Register the file ``name`` in the output directory; return its path."""
+        path = self.out_dir / name
         self.payload["artifacts"].append(str(path))
+        return path
 
-    def finish(self, out_dir: Path) -> Path:
+    def write_table(self, name: str, header: list[str], rows) -> Path:
+        path = self.add_artifact(name)
+        write_table(path, header, rows)
+        return path
+
+    def finish(self) -> Path:
         self.payload["timings"]["wall_seconds"] = round(time.time() - self._t0, 3)
-        path = out_dir / "manifest.json"
+        path = self.out_dir / "manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -246,20 +262,17 @@ def _cmd_ingest_check(args) -> int:
     print(f"{args.input}: {frame.length} rows, {frame.n_variables} variables")
     print("variables:", ", ".join(frame.names))
     if args.out_dir is not None:
-        out = _out_dir(args)
-        manifest = RunManifest(
-            "ingest-check", {"rows": frame.length, "variables": frame.names}, {}
-        )
+        manifest = RunManifest(_out_dir(args), "ingest-check", {"rows": frame.length, "variables": frame.names}, {})
         manifest.add_input(args.input)
-        manifest.finish(out)
+        manifest.finish()
     return 0
 
 
 def _cmd_train(args) -> int:
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
-    out = _out_dir(args)
     manifest = RunManifest(
+        _out_dir(args),
         "train",
         {"model": asdict(model_config), "train": asdict(train_config), "stride": args.stride},
         {"model": model_config.seed, "train": train_config.seed},
@@ -270,22 +283,17 @@ def _cmd_train(args) -> int:
     windows = build_windows(processed, model_config.T, model_config.L, args.stride)
     params, history = train_model(windows, model_config, train_config)
 
-    ckpt = out / "checkpoint.json"
-    save_checkpoint(ckpt, params, model_config)
-    manifest.add_artifact(ckpt)
-
-    hist_path = out / "history.csv"
-    write_table(
-        hist_path,
+    save_checkpoint(manifest.add_artifact("checkpoint.json"), params, model_config)
+    manifest.write_table(
+        "history.csv",
         ["epoch", "train_mse", "val_mse"],
         [[str(h["epoch"]), h["train_mse"], h["val_mse"]] for h in history],
     )
-    manifest.add_artifact(hist_path)
     manifest.payload["final_val_mse"] = min((h["val_mse"] for h in history), default=None)
-    manifest.finish(out)
+    manifest.finish()
     best = manifest.payload["final_val_mse"]
     print(f"trained {len(windows)} windows, best validation MSE {best}")
-    print(f"artifacts in {out}")
+    print(f"artifacts in {manifest.out_dir}")
     return 0
 
 
@@ -305,8 +313,7 @@ def _load_model(args, frame) -> tuple:
 def _cmd_evaluate(args) -> int:
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
-    out = _out_dir(args)
-    manifest = RunManifest("evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
+    manifest = RunManifest(_out_dir(args), "evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
     manifest.add_input(args.input)
     manifest.add_input(args.checkpoint)
 
@@ -319,18 +326,16 @@ def _cmd_evaluate(args) -> int:
     val_preds = preds[-len(val_windows) :]  # validation_split holds out the tail
     val_targets = np.stack([w.target for w in val_windows])
 
-    metrics_path = out / "metrics.csv"
-    write_table(
-        metrics_path,
+    metrics_path = manifest.write_table(
+        "metrics.csv",
         ["metric", "value"],
         [
             ["mse", float(np.mean((preds - targets) ** 2))],
-            ["mae", float(np.mean(np.abs(preds - targets)))],
+            ["mae", mae_metric(preds, targets)],
             ["val_mse", float(np.mean((val_preds - val_targets) ** 2))],
         ],
     )
-    manifest.add_artifact(metrics_path)
-    manifest.finish(out)
+    manifest.finish()
     with open(metrics_path, encoding="utf-8") as fh:
         print(fh.read().rstrip())
     return 0
@@ -345,8 +350,8 @@ def _cmd_crossval(args) -> int:
     horizons = tuple(_int_list("--horizons", args.horizons))
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
-    out = _out_dir(args)
     manifest = RunManifest(
+        _out_dir(args),
         "crossval",
         {
             "model": asdict(model_config),
@@ -375,10 +380,8 @@ def _cmd_crossval(args) -> int:
     rows = [[str(fold)] + [report.metrics[m][fold] for m in names] for fold in range(report.folds)]
     rows.append(["mean"] + [report.mean(m) for m in names])
     rows.append(["std"] + [report.std(m) for m in names])
-    metrics_path = out / "metrics.csv"
-    write_table(metrics_path, ["fold"] + names, rows)
-    manifest.add_artifact(metrics_path)
-    manifest.finish(out)
+    metrics_path = manifest.write_table("metrics.csv", ["fold"] + names, rows)
+    manifest.finish()
 
     for m in names:
         print(f"{m}: {report.mean(m):.6g} +/- {report.std(m):.6g}")
@@ -389,36 +392,30 @@ def _cmd_crossval(args) -> int:
 def _cmd_forecast(args) -> int:
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
-    out = _out_dir(args)
-    manifest = RunManifest("forecast", {"model": asdict(model_config), "steps": args.steps}, {})
+    manifest = RunManifest(_out_dir(args), "forecast", {"model": asdict(model_config), "steps": args.steps}, {})
     manifest.add_input(args.input)
     manifest.add_input(args.checkpoint)
 
-    processed, _ = preprocess_frame(frame)
+    processed, stats = preprocess_frame(frame)
     pred = sliding_forecast(params, model_config, processed.data, processed.length, args.steps)
+    pred = invert_normalizer(SeriesFrame(frame.names, pred), stats).data  # the input's units, still smoothed
 
     rows = []
     for step in range(pred.shape[0]):
         for j, name in enumerate(frame.names):
             rows.append([str(step), name, pred[step, j]])
-    path = out / "forecast.csv"
-    write_table(path, ["step", "variable", "value"], rows)
-    manifest.add_artifact(path)
-    manifest.finish(out)
+    path = manifest.write_table("forecast.csv", ["step", "variable", "value"], rows)
+    manifest.finish()
     print(f"wrote {args.steps}-step forecast to {path}")
     return 0
 
 
 def _cmd_synth_gen(args) -> int:
     spec = SynthSpec(n_series=args.n_series, length=args.length, seed=args.seed or 0)
-    out = _out_dir(args)
-    manifest = RunManifest("synth-gen", asdict(spec), {"spec": spec.seed})
-    corpus = generate(spec)
-    path = out / "corpus.csv"
-    frame = corpus_to_frame(corpus)
-    write_table(path, frame.names, frame.data)
-    manifest.add_artifact(path)
-    manifest.finish(out)
+    manifest = RunManifest(_out_dir(args), "synth-gen", asdict(spec), {"spec": spec.seed})
+    frame = corpus_to_frame(generate(spec))
+    path = manifest.write_table("corpus.csv", frame.names, frame.data)
+    manifest.finish()
     print(f"wrote {spec.n_series} series of length {spec.length} to {path}")
     return 0
 
@@ -427,9 +424,9 @@ def _cmd_synth_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
     if args.trace_series < 0:
         raise CliError(f"--trace-series must be >= 0, got {args.trace_series}")
-    out = _out_dir(args)
     base_spec = SynthSpec(n_series=args.n_series, length=args.length)
     manifest = RunManifest(
+        _out_dir(args),
         "synth-ablate",
         {"spec": asdict(base_spec), "eval_steps": args.eval_steps, "seeds": seeds},
         {"seeds": seeds},
@@ -454,22 +451,15 @@ def _cmd_synth_ablate(args) -> int:
             ablation_rows.append([str(seed), arm_name, arm.mean_mse, arm.mean_dtw])
         wins += result.with_shortcut.mean_mse < result.without_shortcut.mean_mse
         for trace_no, trace in enumerate(result.traces[: args.trace_series]):
-            label = f"seed{seed}-{trace_no}"
-            for step, value in enumerate(trace["truth"]):
-                trace_rows.append([label, "truth", str(step), value])
-            for step, value in enumerate(trace["with_shortcut"]):
-                trace_rows.append([label, "with_shortcut", str(trace["start"] + step), value])
-            for step, value in enumerate(trace["without_shortcut"]):
-                trace_rows.append([label, "without_shortcut", str(trace["start"] + step), value])
+            label, start = f"seed{seed}-{trace_no}", trace["start"]
+            for series, first in (("truth", 0), ("with_shortcut", start), ("without_shortcut", start)):
+                for step, value in enumerate(trace[series], start=first):
+                    trace_rows.append([label, series, str(step), value])
 
-    ablation_path = out / "ablation.csv"
-    write_table(ablation_path, ["seed", "arm", "mean_mse", "mean_dtw"], ablation_rows)
-    manifest.add_artifact(ablation_path)
-    traces_path = out / "traces.csv"
-    write_table(traces_path, ["trace", "series", "step", "value"], trace_rows)
-    manifest.add_artifact(traces_path)
+    ablation_path = manifest.write_table("ablation.csv", ["seed", "arm", "mean_mse", "mean_dtw"], ablation_rows)
+    traces_path = manifest.write_table("traces.csv", ["trace", "series", "step", "value"], trace_rows)
     manifest.payload["shortcut_wins"] = int(wins)
-    manifest.finish(out)
+    manifest.finish()
     print(f"shortcut arm won {wins}/{len(seeds)} seeds on mean MSE")
     print(f"tables: {ablation_path}, {traces_path}")
     return 0
@@ -491,7 +481,7 @@ def _add_io_args(p, checkpoint=False):
 def _add_model_args(p):
     p.add_argument("--config", help="JSON config file with model/train sections")
     p.add_argument("--seed", type=int, help="seed for init and batch order")
-    p.add_argument("--window", type=int, help="input window length T (multiple of 4)")
+    p.add_argument("--window", type=int, help=f"input window length T (multiple of {STREAMS[-1][1]})")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--no-ar-shortcut", action="store_true", help="disable the linear shortcut")
     p.add_argument("--stride", type=int, default=1, help="window construction stride")

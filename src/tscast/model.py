@@ -28,6 +28,7 @@ __all__ = [
     "ForecasterParams",
     "GruParams",
     "HeadParams",
+    "STREAMS",
     "ShortcutParams",
     "StreamParams",
     "ar_predict",
@@ -46,6 +47,8 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "tscast-checkpoint"
 CHECKPOINT_VERSION = 2
+# each resolution stream's name and downsampling factor, finest first
+STREAMS = (("full", 1), ("half", 2), ("quarter", 4))
 
 
 def _check_integers(config, least_values) -> None:
@@ -62,9 +65,10 @@ def _check_integers(config, least_values) -> None:
 class ForecasterConfig:
     """Architecture hyperparameters.
 
-    The input length T must be a positive multiple of 4 so the window can
-    be downsampled to half and quarter resolution; ar_window is the number
-    of trailing observations the linear shortcut regresses on.
+    The input length T must be a positive multiple of the coarsest
+    ``STREAMS`` factor, so the window downsamples to every stream's
+    resolution; ar_window is the number of trailing observations the linear
+    shortcut regresses on.
     """
 
     v: int
@@ -82,8 +86,8 @@ class ForecasterConfig:
             ("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
             ("gru_hidden", 1), ("ar_window", 1), ("seed", 0),
         ))
-        if self.T % 4 != 0:
-            raise ValueError(f"input length T={self.T} must be a multiple of 4")
+        if self.T % STREAMS[-1][1] != 0:
+            raise ValueError(f"input length T={self.T} must be a multiple of {STREAMS[-1][1]}")
         if self.ar_window > self.T:
             raise ValueError(
                 f"ar_window={self.ar_window} cannot exceed the input length T={self.T}"
@@ -140,7 +144,7 @@ class ForecasterParams:
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
-        for stream_name in ("full", "half", "quarter"):
+        for stream_name, _ in STREAMS:
             stream: StreamParams = getattr(self, stream_name)
             out.append((f"{stream_name}.conv1_w", stream.conv1_w))
             out.append((f"{stream_name}.conv1_b", stream.conv1_b))
@@ -171,7 +175,7 @@ def count_parameters(config: ForecasterConfig) -> int:
     v, L = config.v, config.L
     nf, k, h = config.n_filters, config.kernel_size, config.gru_hidden
     per_stream = (nf * v * k + nf) + (nf * nf * k + nf) + 3 * (h * nf + h * h + h)
-    total = 3 * per_stream + L * (3 * h * v + v)
+    total = len(STREAMS) * per_stream + L * (len(STREAMS) * h * v + v)
     if config.use_ar_shortcut:
         total += config.ar_window * L + L
     return total
@@ -194,6 +198,7 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
     """Glorot-uniform weights, zero biases, deterministic in config.seed."""
     rng = np.random.default_rng(config.seed)
     v, nf, k, h = config.v, config.n_filters, config.kernel_size, config.gru_hidden
+    cat = len(STREAMS) * h  # width of the concatenated states the heads read
 
     def make_stream() -> StreamParams:
         conv1_w = _glorot(rng, (nf, v, k), fan_in=v * k, fan_out=nf * k)
@@ -210,7 +215,7 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
         )
 
     # each step's (3H, v) head drawn in turn with its own fans, then stacked by columns
-    head_ws = [_glorot(rng, (3 * h, v), fan_in=3 * h, fan_out=v).values for _ in range(config.L)]
+    head_ws = [_glorot(rng, (cat, v), fan_in=cat, fan_out=v).values for _ in range(config.L)]
     heads = HeadParams(
         w=Tensor(np.concatenate(head_ws, axis=1), requires_grad=True), b=_zeros(config.L * v), L=config.L
     )
@@ -220,24 +225,22 @@ def init_forecaster(config: ForecasterConfig) -> ForecasterParams:
             w=_glorot(rng, (config.ar_window, config.L), fan_in=config.ar_window, fan_out=config.L),
             b=_zeros(config.L),
         )
-    return ForecasterParams(
-        full=make_stream(), half=make_stream(), quarter=make_stream(), heads=heads, shortcut=shortcut
-    )
+    # the streams draw last, finest first: every checkpoint and output depends on this order
+    return ForecasterParams(**{name: make_stream() for name, _ in STREAMS}, heads=heads, shortcut=shortcut)
 
 
 # ---------------------------------------------------------------------------
 # forward pieces
 
 
-def multiscale_inputs(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (B, T, v) windows plus their (B, T/2, v) and (B, T/4, v)
-    half- and quarter-resolution averages."""
+def multiscale_inputs(windows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (B, T, v) windows averaged to each ``STREAMS`` resolution,
+    finest first: (B, T / factor, v) per stream, the windows themselves at
+    factor 1."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
         raise ValueError(f"multiscale_inputs: expected windows (B, T, v), got {windows.shape}")
-    if windows.shape[1] % 4 != 0:
-        raise ValueError(f"window length {windows.shape[1]} must be a multiple of 4")
-    return windows, downsample_avg(windows, 2), downsample_avg(windows, 4)
+    return tuple(windows if factor == 1 else downsample_avg(windows, factor) for _, factor in STREAMS)
 
 
 def conv_features(x, stream: StreamParams) -> Tensor:
@@ -257,15 +260,14 @@ def gru_encode(g_seq, gru: GruParams) -> Tensor:
     return ad.gru_sequence(g_seq, gru.w, gru.u, gru.b)
 
 
-def head_predict(h_full: Tensor, h_half: Tensor, h_quarter: Tensor, heads: HeadParams) -> Tensor:
+def head_predict(states, heads: HeadParams) -> Tensor:
     """Affine map of [h, h', h''] through each output step's own head.
 
-    The states are (B, H) each, concatenated once into (B, 3H) and mapped
-    through all L heads by one product with the stacked (3H, L * v)
-    weight; the result is (L, B, v), and row t - 1 of it is output step t.
-    That is five tape records at any L.
+    ``states`` holds one (B, H) state per stream, in ``STREAMS`` order,
+    concatenated once into (B, 3H) and mapped through all L heads by one
+    product with the stacked (3H, L * v) weight; the result is (L, B, v),
+    and row t - 1 of it is output step t. That is five tape records at any L.
     """
-    states = (h_full, h_half, h_quarter)
     shapes = [np.shape(h) for h in states]
     if any(len(shape) != 2 for shape in shapes):
         raise ValueError(f"head_predict: expected states (B, H), got {shapes}")
@@ -330,12 +332,12 @@ def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) 
         raise ValueError(f"forecast_batch: no windows to forecast (got an empty batch of shape {windows.shape})")
 
     states = []
-    streams = (params.full, params.half, params.quarter)
-    for block, stream in zip(multiscale_inputs(windows), streams):
+    for (name, _), block in zip(STREAMS, multiscale_inputs(windows)):
+        stream = getattr(params, name)
         x = np.swapaxes(block, 1, 2)  # (B, v, T_r)
         states.append(gru_encode(conv_features(x, stream), stream.gru))  # (B, H)
 
-    out = head_predict(*states, params.heads)  # (L, B, v)
+    out = head_predict(states, params.heads)  # (L, B, v)
     if config.use_ar_shortcut:
         out = out + ar_predict(windows, params.shortcut, config.ar_window)
     return out
@@ -470,11 +472,11 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     params = init_forecaster(config)
     stored = {name: _stored_array(path, name, entry) for name, entry in _field(path, payload, "params").items()}
     if version == 1:  # stack each stream's per-gate arrays, e.g. full.gru.w_{z,r,h} -> full.gru.w
-        for prefix in ("full.gru", "half.gru", "quarter.gru"):
+        for stream_name, _ in STREAMS:
             for kind in ("w", "u", "b"):
-                gates = [f"{prefix}.{kind}_{gate}" for gate in "zrh"]
+                gates = [f"{stream_name}.gru.{kind}_{gate}" for gate in "zrh"]
                 if all(name in stored for name in gates):
-                    stored[f"{prefix}.{kind}"] = np.concatenate([stored.pop(name) for name in gates])
+                    stored[f"{stream_name}.gru.{kind}"] = np.concatenate([stored.pop(name) for name in gates])
     entries = _checkpoint_entries(params)
     if sorted(stored) != sorted(name for name, _ in entries):
         raise ValueError(f"{path}: checkpoint parameter names do not match the config")

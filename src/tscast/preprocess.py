@@ -79,11 +79,6 @@ class ForecastWindow:
     target: np.ndarray
 
     def __post_init__(self):
-        if self.input.shape[0] % 4 != 0:
-            raise ValueError(
-                f"window length {self.input.shape[0]} must be a multiple of 4 "
-                "(required by the multi-resolution downsampling)"
-            )
         if self.target.shape[0] < 1:
             raise ValueError("target horizon must be at least 1")
         if self.input.shape[1] != self.target.shape[1]:
@@ -155,7 +150,8 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
 
     ``block`` is (T,), (T, v), or (..., T, v) with leading batch axes; rows
     are the second-to-last axis of a 2-d or larger block.
-    [1, 2, 3, 4] with factor 2 gives [1.5, 3.5]; with factor 4 gives [2.5].
+    ``factor`` is any positive integer that divides the length: [1, 2, 3, 4]
+    with factor 2 gives [1.5, 3.5]; with factor 4 gives [2.5].
 
     The mean is the sum over each group divided by ``factor``: the two
     ufunc calls ``ndarray.mean`` makes inside its Python wrapper, so the
@@ -166,8 +162,8 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
     if squeeze:
         block = block[:, None]
     *lead, t_len, v = block.shape
-    if factor not in (2, 4):
-        raise ValueError(f"downsample factor must be 2 or 4, got {factor}")
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"downsample factor must be a positive integer, got {factor!r}")
     if t_len % factor != 0:
         raise ValueError(f"length {t_len} is not divisible by factor {factor}")
     out = np.add.reduce(block.reshape(*lead, t_len // factor, factor, v), axis=-2)
@@ -177,11 +173,8 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
 
 def build_windows(frame: SeriesFrame, T: int, L: int, stride: int = 1) -> list[ForecastWindow]:
     """Chronological sliding windows: inputs of length T, targets of length L."""
-    if T % 4 != 0 or T < 4:
-        raise ValueError(
-            f"input window length T={T} must be a positive multiple of 4 "
-            "(required by the multi-resolution downsampling)"
-        )
+    if T < 1:
+        raise ValueError(f"input window length T must be >= 1, got {T}")
     if L < 1:
         raise ValueError(f"horizon L must be >= 1, got {L}")
     if stride < 1:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, backward, constant, mean_all
 from .metrics import check_radius, dtw_multivariate, mae_metric
-from .model import ForecasterConfig, ForecasterParams, _check_integers, forecast, forecast_batch, init_forecaster
+from .model import STREAMS, ForecasterConfig, ForecasterParams, _check_integers, forecast, forecast_batch, init_forecaster
 from .preprocess import ForecastWindow, SeriesFrame, blocked_kfold, build_windows
 
 __all__ = [
@@ -197,13 +197,14 @@ def _predict_chunk(config: ForecasterConfig) -> int:
 
     A window's activations in ``forecast_batch`` are, per stream, the two
     conv outputs and the GRU's input projections, (2 * n_filters + 3 * H)
-    float64 values per time step over T + T/2 + T/4 steps: 224 KiB at the
-    paper defaults, 7 KiB at the ablation config. The chunk is as many
-    whole blocks of ``ROW_BLOCK`` windows as fit in ``PREDICT_BYTES``, at
-    least one block and at most ``MAX_PREDICT_CHUNK`` windows: 64 at the
-    defaults, 128 at the ablation config.
+    float64 values per time step over the T / factor steps of every
+    ``STREAMS`` resolution: 224 KiB at the paper defaults, 7 KiB at the
+    ablation config. The chunk is as many whole blocks of ``ROW_BLOCK``
+    windows as fit in ``PREDICT_BYTES``, at least one block and at most
+    ``MAX_PREDICT_CHUNK`` windows: 64 at the defaults, 128 at the ablation
+    config.
     """
-    steps = config.T + config.T // 2 + config.T // 4
+    steps = sum(config.T // factor for _, factor in STREAMS)
     per_window = 8 * steps * (2 * config.n_filters + 3 * config.gru_hidden)
     blocks = PREDICT_BYTES // per_window // ROW_BLOCK
     return min(MAX_PREDICT_CHUNK, max(1, blocks) * ROW_BLOCK)
@@ -335,38 +336,34 @@ def cross_validate(
     Per fold, a fresh model is trained on the train windows and scored on
     the test block: MSE and MAE at horizon 1, plus — for each requested
     multi-step horizon — FastDTW between the predicted and true paths,
-    using a model trained with that many output heads. A bad ``dtw_radius``,
-    horizon or ``k`` is rejected before any training.
+    using a model trained with that many output heads. Each distinct
+    horizon, 1 included, trains one model per fold, seeded with
+    ``model_config.seed + fold``. A bad ``dtw_radius``, horizon or ``k`` is
+    rejected before any training.
     """
     check_radius(dtw_radius)
-    for horizon in horizons:  # horizon 1 fits whenever these do; fold_predictions(1) checks it first
-        blocked_kfold(len(build_windows(frame, model_config.T, horizon, stride)), k)
     metrics: dict[str, list[float]] = {"mse": [], "mae": []}
-
-    def fold_predictions(horizon: int):
-        """(test windows, predictions) per fold, in fold order; fold i's
-        model is seeded with model_config.seed + i."""
+    metrics.update((f"dtw_{horizon}step", []) for horizon in horizons)
+    runs = []  # (horizon, windows, folds), all built before the first training
+    for horizon in dict.fromkeys((1, *horizons)):
         windows = build_windows(frame, model_config.T, horizon, stride)
-        for fold, (train_idx, test_idx) in enumerate(blocked_kfold(len(windows), k)):
-            fold_train = [windows[i] for i in train_idx]
+        runs.append((horizon, windows, blocked_kfold(len(windows), k)))
+
+    for horizon, windows, folds in runs:
+        for fold, (train_idx, test_idx) in enumerate(folds):
             fold_test = [windows[i] for i in test_idx]
             fold_config = replace(model_config, L=horizon, seed=model_config.seed + fold)
-            params, _ = train_model(fold_train, fold_config, train_config)
-            yield fold_test, predict_windows(params, fold_config, fold_test)
-
-    for fold_test, preds in fold_predictions(1):
-        targets = np.stack([w.target for w in fold_test])
-        metrics["mse"].append(float(np.mean((preds - targets) ** 2)))
-        metrics["mae"].append(mae_metric(preds, targets))
-
-    for horizon in horizons:
-        name = f"dtw_{horizon}step"
-        metrics[name] = []
-        for fold_test, preds in fold_predictions(horizon):
-            cost = 0.0
-            for pred, window in zip(preds, fold_test):
-                cost += dtw_multivariate(pred, window.target, radius=dtw_radius)
-            metrics[name].append(cost / len(fold_test))
+            params, _ = train_model([windows[i] for i in train_idx], fold_config, train_config)
+            preds = predict_windows(params, fold_config, fold_test)
+            if horizon == 1:
+                targets = np.stack([w.target for w in fold_test])
+                metrics["mse"].append(float(np.mean((preds - targets) ** 2)))
+                metrics["mae"].append(mae_metric(preds, targets))
+            if horizon in horizons:
+                cost = 0.0  # a plain running sum: sum() compensates from Python 3.12
+                for pred, window in zip(preds, fold_test):
+                    cost += dtw_multivariate(pred, window.target, radius=dtw_radius)
+                metrics[f"dtw_{horizon}step"].append(cost / len(fold_test))
 
     return EvalReport(variables=list(frame.names), folds=k, metrics=metrics)
 

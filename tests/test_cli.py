@@ -85,6 +85,21 @@ def test_ingest_rejects_a_delimiter_that_is_not_one_character(tmp_path, capsys):
         assert "--delimiter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, says", [
+    ("a,a,", "column 2 repeats the name 'a'"),
+    ("a, b ,b", "column 3 repeats the name 'b'"),
+    ("a,,b", "column 2 has no name"),
+])
+def test_ingest_rejects_a_repeated_or_empty_header_name(tmp_path, capsys, header, says):
+    # the variable column of forecast.csv could not tell such columns apart
+    path = tmp_path / "data.csv"
+    path.write_text(header + "\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+    with pytest.raises(CliError, match=f"^{re.escape(str(path))}:1: {says}$"):
+        ingest_csv(path)
+    assert run(["ingest-check", "--input", str(path)]) == 1
+    assert says in capsys.readouterr().err
+
+
 def test_ingest_missing_file():
     with pytest.raises(CliError):
         ingest_csv("/nonexistent/nowhere.csv")
@@ -181,6 +196,23 @@ def test_forecast_command_long_format(tmp_path):
     step, variable, value = lines[1].split(",")
     assert step == "0" and variable == "y0"
     float(value)
+
+
+def test_forecast_writes_the_input_units(tmp_path):
+    # the rollout runs in normalised units; forecast.csv maps it back
+    # (smoothed): before that, step 0 read -0.27 on this series near 100
+    data = tmp_path / "data.csv"
+    write_table(data, ["y"], 100.0 + np.sin(np.arange(300.0) / 6.0)[:, None])
+    train_dir = tmp_path / "train"
+    assert run(["train", "--input", str(data), "--out-dir", str(train_dir), "--window", "16", "--epochs", "3"]) == 0
+    assert run([
+        "forecast", "--input", str(data), "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--steps", "10", "--out-dir", str(tmp_path / "fc"),
+    ]) == 0
+    lines = (tmp_path / "fc" / "forecast.csv").read_text().strip().splitlines()[1:]
+    values = [float(line.split(",")[2]) for line in lines]
+    assert len(values) == 10
+    assert all(abs(value - 100.0) <= 2.0 for value in values), values
 
 
 def test_forecast_stops_a_diverging_rollout(tmp_path, capsys):

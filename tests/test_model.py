@@ -353,7 +353,7 @@ def test_head_predict_zero_weights_returns_bias():
     params.heads.w.values[:, 0:2] = 0.0  # head 1 owns columns 0 and 1
     params.heads.b.values[0:2] = [1.5, -2.5]
     h = [constant(np.random.default_rng(8).normal(size=(1, 4))) for _ in range(3)]
-    out = head_predict(h[0], h[1], h[2], params.heads)
+    out = head_predict((h[0], h[1], h[2]), params.heads)
     assert np.array_equal(out.values[0, 0], [1.5, -2.5])
 
 
@@ -361,9 +361,9 @@ def test_head_isolation():
     params = init_forecaster(TINY)
     rng = np.random.default_rng(9)
     h = [constant(rng.normal(size=(2, 4))) for _ in range(3)]
-    before = head_predict(h[0], h[1], h[2], params.heads).values[1].copy()
+    before = head_predict((h[0], h[1], h[2]), params.heads).values[1].copy()
     params.heads.w.values[:, 0:2] = rng.normal(size=(12, 2))  # head 1 only
-    after = head_predict(h[0], h[1], h[2], params.heads).values[1]
+    after = head_predict((h[0], h[1], h[2]), params.heads).values[1]
     assert np.array_equal(before, after)
 
 
@@ -371,12 +371,12 @@ def test_head_permutation_equivariance():
     rng = np.random.default_rng(10)
     params = init_forecaster(TINY)
     h = [constant(rng.normal(size=(2, 4))) for _ in range(3)]
-    base = head_predict(h[0], h[1], h[2], params.heads).values[0].copy()
+    base = head_predict((h[0], h[1], h[2]), params.heads).values[0].copy()
 
     w = params.heads.w.values[:, 0:2]  # head 1
     permuted = np.concatenate([w[4:8], w[0:4], w[8:12]], axis=0)
     swapped = HeadParams(w=Tensor(permuted, requires_grad=True), b=Tensor(params.heads.b.values[0:2]), L=1)
-    out = head_predict(h[1], h[0], h[2], swapped).values
+    out = head_predict((h[1], h[0], h[2]), swapped).values
     assert np.allclose(out[0], base, atol=1e-14)
 
 
@@ -385,7 +385,7 @@ def test_stacked_head_rows_equal_per_head_products():
     params = init_forecaster(config)
     _generic_point(params, np.random.default_rng(24))
     h = np.random.default_rng(25).normal(size=(3, 5, 4))  # three (B, H) states
-    out = head_predict(constant(h[0]), constant(h[1]), constant(h[2]), params.heads).values
+    out = head_predict((constant(h[0]), constant(h[1]), constant(h[2])), params.heads).values
     assert out.shape == (3, 5, 2)
     cat = np.concatenate(h, axis=1)
     w, b = params.heads.w.values, params.heads.b.values
@@ -398,7 +398,7 @@ def test_head_predict_rejects_unbatched_states():
     params = init_forecaster(TINY)
     h = [constant(np.zeros(4)) for _ in range(3)]
     with pytest.raises(ValueError, match=r"\(B, H\)"):
-        head_predict(h[0], h[1], h[2], params.heads)
+        head_predict((h[0], h[1], h[2]), params.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +532,10 @@ def test_batched_head_and_ar_equal_per_window_calls():
     _generic_point(params, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     h = rng.normal(size=(3, 6, 4))  # three (B, H) states
-    all_steps = head_predict(h[0], h[1], h[2], params.heads).values  # (L, B, v)
+    all_steps = head_predict((h[0], h[1], h[2]), params.heads).values  # (L, B, v)
     assert all_steps.shape == (TINY.L, 6, TINY.v)
     for i in range(6):
-        one = head_predict(h[0, i : i + 1], h[1, i : i + 1], h[2, i : i + 1], params.heads).values
+        one = head_predict((h[0, i : i + 1], h[1, i : i + 1], h[2, i : i + 1]), params.heads).values
         assert np.max(np.abs(all_steps[:, i] - one[:, 0])) <= 1e-12
 
     windows = rng.normal(size=(6, 8, 2))

@@ -180,6 +180,14 @@ def test_downsample_rejects_indivisible():
         downsample_avg(np.arange(6.0), 4)
 
 
+def test_downsample_takes_any_positive_factor_that_divides_the_length():
+    assert np.array_equal(downsample_avg(np.arange(6.0), 3), [1.0, 4.0])
+    assert np.array_equal(downsample_avg(np.arange(6.0), 1), np.arange(6.0))
+    for factor in (0, -2, 1.5, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            downsample_avg(np.arange(6.0), factor)
+
+
 # ---------------------------------------------------------------------------
 # window construction
 
@@ -193,10 +201,18 @@ def test_build_windows_offset_counting():
     assert np.array_equal(windows[1].target[:, 0], [9.0])
 
 
-def test_build_windows_rejects_non_multiple_of_four():
-    with pytest.raises(ValueError) as exc:
-        build_windows(_frame(np.arange(20.0)), T=6, L=1)
-    assert "multiple of 4" in str(exc.value)
+def test_build_windows_builds_five_step_windows():
+    # only ForecasterConfig asks for a multiple of 4; a 5-lag linear
+    # baseline reads windows of any length
+    windows = build_windows(_frame(np.arange(20.0)), T=5, L=1)
+    assert len(windows) == 15
+    assert np.array_equal(windows[3].input[:, 0], np.arange(3.0, 8.0))
+    assert np.array_equal(windows[3].target[:, 0], [8.0])
+
+
+def test_build_windows_rejects_an_empty_window():
+    with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+        build_windows(_frame(np.arange(20.0)), T=0, L=1)
 
 
 def test_build_windows_exact_fit():
@@ -210,8 +226,11 @@ def test_build_windows_too_short():
 
 
 def test_forecast_window_invariants():
-    with pytest.raises(ValueError):
-        ForecastWindow(input=np.zeros((6, 1)), target=np.zeros((1, 1)))
+    ForecastWindow(input=np.zeros((6, 1)), target=np.zeros((1, 1)))  # any input length
+    with pytest.raises(ValueError, match="target horizon must be at least 1"):
+        ForecastWindow(input=np.zeros((8, 1)), target=np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="variable counts differ"):
+        ForecastWindow(input=np.zeros((8, 2)), target=np.zeros((1, 1)))
 
 
 # ---------------------------------------------------------------------------

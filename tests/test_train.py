@@ -382,6 +382,30 @@ def test_cross_validate_rejects_a_bad_horizon_before_training(monkeypatch, horiz
     assert calls == []
 
 
+def test_cross_validate_trains_each_distinct_horizon_once_per_fold(monkeypatch):
+    # horizon 1 gives MSE and MAE and, when requested, DTW from the same
+    # models; a repeated horizon trains nothing more
+    counts = {"train_model": 0, "build_windows": 0}
+
+    def spy(name):
+        real = getattr(train, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(train, name, spy(name))
+    frame = SeriesFrame(["y"], np.sin(np.arange(60.0) / 4.0)[:, None])
+    config = ForecasterConfig(v=1, T=8, L=1, seed=0, **TINY_MODEL)
+    report = cross_validate(frame, config, TrainConfig(epochs=1), k=3, horizons=(1, 3, 3), stride=2)
+    assert counts == {"train_model": 6, "build_windows": 2}
+    assert report.metric_names() == ["mse", "mae", "dtw_1step", "dtw_3step"]
+    assert all(len(values) == 3 for values in report.metrics.values())
+
+
 def test_eval_report_zero_error_aggregates():
     report = EvalReport(variables=["y"], folds=5, metrics={"mse": [0.0] * 5})
     assert report.mean("mse") == 0.0

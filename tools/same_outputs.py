@@ -6,7 +6,8 @@ Each argument is a directory that holds the ``tscast`` package (a
 checkout's ``src``). Both trees run the same commands on one generated
 two-variable series, each in its own scratch directory and with BLAS on
 one thread: ``train``, ``forecast``, ``evaluate``, ``crossval --horizons
-3,5`` and ``synth-ablate --seeds 0,1 --epochs 3``. Every output file is
+3,5``, ``crossval --horizons 1,3,3`` (a listed horizon 1 and a repeated
+horizon) and ``synth-ablate --seeds 0,1 --epochs 3``. Every output file is
 then listed as ``same`` or ``differs``. A ``manifest.json`` is compared
 without its wall-clock ``timings``. The exit code is 1 if any file
 differs or is missing on one side, else 0.
@@ -33,6 +34,8 @@ COMMANDS = [
     ["evaluate", "--input", "series.csv", "--checkpoint", "train/checkpoint.json", "--out-dir", "evaluate"],
     ["crossval", "--input", "series.csv", "--window", "16", "--epochs", "2", "--folds", "3", "--horizons", "3,5",
      "--out-dir", "crossval"],
+    ["crossval", "--input", "series.csv", "--window", "16", "--epochs", "2", "--folds", "3", "--horizons", "1,3,3",
+     "--out-dir", "crossval-repeat"],
     ["synth-ablate", "--seeds", "0,1", "--epochs", "3", "--out-dir", "ablate"],
 ]
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
