@@ -39,7 +39,7 @@ import numpy as np
 
 from .metrics import mae_metric
 from .model import STREAMS, ForecasterConfig, load_checkpoint, save_checkpoint
-from .preprocess import SeriesFrame, build_windows, invert_normalizer, preprocess_frame
+from .preprocess import SeriesFrame, build_windows, check_integer, invert_normalizer, preprocess_frame
 from .synth import (
     SynthSpec,
     ablation_run,
@@ -83,28 +83,28 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
     names: list[str] | None = None
     rows: list[list[float]] = []
     width: int | None = None
+    skip = int(timestamp_col)  # error messages count the file's columns, the timestamp included
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         for line_no, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if timestamp_col:
-                row = row[1:]
+            row = row[skip:]
             if names is None and header:
                 names = [cell.strip() for cell in row]
-                for col_no, name in enumerate(names, start=1):
+                for i, name in enumerate(names):
                     if not name:
-                        raise CliError(f"{path}:{line_no}: column {col_no} has no name")
-                    if name in names[: col_no - 1]:
-                        raise CliError(f"{path}:{line_no}: column {col_no} repeats the name {name!r}")
+                        raise CliError(f"{path}:{line_no}: column {skip + i + 1} has no name")
+                    if name in names[:i]:
+                        raise CliError(f"{path}:{line_no}: column {skip + i + 1} repeats the name {name!r}")
                 width = len(names)
                 continue
             if width is None:
                 width = len(row)
             if len(row) != width:
-                raise CliError(f"{path}:{line_no}: expected {width} columns, found {len(row)}")
+                raise CliError(f"{path}:{line_no}: expected {skip + width} columns, found {skip + len(row)}")
             parsed = []
-            for col_no, cell in enumerate(row, start=1):
+            for col_no, cell in enumerate(row, start=1 + skip):
                 cell = cell.strip()
                 if cell == "":
                     raise CliError(f"{path}:{line_no}: column {col_no} is missing a value")
@@ -345,8 +345,7 @@ def _cmd_crossval(args) -> int:
     if "L" in _load_config_file(args.config).get("model", {}):
         # cross_validate sets L itself: 1, then each of --horizons
         raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
-    if args.radius < 0:
-        raise CliError(f"--radius must be >= 0, got {args.radius}")
+    check_integer("--radius", args.radius, 0)
     horizons = tuple(_int_list("--horizons", args.horizons))
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
@@ -422,8 +421,7 @@ def _cmd_synth_gen(args) -> int:
 
 def _cmd_synth_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
-    if args.trace_series < 0:
-        raise CliError(f"--trace-series must be >= 0, got {args.trace_series}")
+    check_integer("--trace-series", args.trace_series, 0)
     base_spec = SynthSpec(n_series=args.n_series, length=args.length)
     manifest = RunManifest(
         _out_dir(args),

@@ -42,8 +42,9 @@ import math
 
 import numpy as np
 
+from .preprocess import check_integer
+
 __all__ = [
-    "check_radius",
     "dtw_bruteforce",
     "dtw_exact",
     "dtw_exact_path",
@@ -264,17 +265,9 @@ def dtw_bruteforce(a, b) -> float:
     return best[0]
 
 
-def check_radius(radius) -> None:
-    """Raise a ValueError unless ``radius`` is an integer >= 0."""
-    if isinstance(radius, bool) or not isinstance(radius, (int, np.integer)):
-        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-
-
 def fastdtw(a, b, radius: int = 1) -> float:
     """Multilevel DTW approximation with refinement radius ``radius``."""
-    check_radius(radius)
+    check_integer("radius", radius, 0)
     a, b = _as_sequence(a, "a"), _as_sequence(b, "b")
     cost, _ = _fastdtw(a, b, radius, with_path=False)
     return cost
@@ -336,7 +329,7 @@ def dtw_multivariate(pred, target, radius: int | None = None) -> float:
     FastDTW approximation.
     """
     if radius is not None:
-        check_radius(radius)
+        check_integer("radius", radius, 0)
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.ndim == 1:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, constant
-from .preprocess import downsample_avg
+from .preprocess import check_integer, downsample_avg
 
 __all__ = [
     "ForecasterConfig",
@@ -51,16 +51,6 @@ CHECKPOINT_VERSION = 2
 STREAMS = (("full", 1), ("half", 2), ("quarter", 4))
 
 
-def _check_integers(config, least_values) -> None:
-    """Raise a ValueError naming the first of ``config``'s fields in
-    ``least_values``, (name, least) pairs, that is not an integer (bool
-    excluded) of at least ``least``."""
-    for name, least in least_values:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"config field {name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass
 class ForecasterConfig:
     """Architecture hyperparameters.
@@ -82,10 +72,9 @@ class ForecasterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_integers(self, (
-            ("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
-            ("gru_hidden", 1), ("ar_window", 1), ("seed", 0),
-        ))
+        for name, least in (("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
+                            ("gru_hidden", 1), ("ar_window", 1), ("seed", 0)):
+            check_integer(f"config field {name}", getattr(self, name), least)
         if self.T % STREAMS[-1][1] != 0:
             raise ValueError(f"input length T={self.T} must be a multiple of {STREAMS[-1][1]}")
         if self.ar_window > self.T:

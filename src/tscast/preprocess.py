@@ -18,6 +18,7 @@ __all__ = [
     "apply_normalizer",
     "blocked_kfold",
     "build_windows",
+    "check_integer",
     "downsample_avg",
     "fit_normalizer",
     "gaussian_kernel",
@@ -27,6 +28,13 @@ __all__ = [
 ]
 
 CONSTANT_STD_FLOOR = 1e-8
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer
+    (a numpy integer counts, a bool does not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -162,8 +170,7 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
     if squeeze:
         block = block[:, None]
     *lead, t_len, v = block.shape
-    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"downsample factor must be a positive integer, got {factor!r}")
+    check_integer("factor", factor, 1)
     if t_len % factor != 0:
         raise ValueError(f"length {t_len} is not divisible by factor {factor}")
     out = np.add.reduce(block.reshape(*lead, t_len // factor, factor, v), axis=-2)
@@ -173,12 +180,8 @@ def downsample_avg(block: np.ndarray, factor: int) -> np.ndarray:
 
 def build_windows(frame: SeriesFrame, T: int, L: int, stride: int = 1) -> list[ForecastWindow]:
     """Chronological sliding windows: inputs of length T, targets of length L."""
-    if T < 1:
-        raise ValueError(f"input window length T must be >= 1, got {T}")
-    if L < 1:
-        raise ValueError(f"horizon L must be >= 1, got {L}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    for name, value in (("T", T), ("L", L), ("stride", stride)):
+        check_integer(name, value, 1)
     if T + L > frame.length:
         raise ValueError(
             f"series of length {frame.length} cannot fit one window of T={T} plus L={L}"
@@ -202,8 +205,8 @@ def blocked_kfold(n_windows: int, k: int = 5) -> list[tuple[np.ndarray, np.ndarr
     Block sizes differ by at most one; the remainder goes to the earliest
     blocks. Train indices are the complement of each test block.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_integer("n_windows", n_windows, 0)
+    check_integer("k", k, 2)
     if n_windows < k:
         raise ValueError(f"{n_windows} windows cannot form {k} folds")
     base, rem = divmod(n_windows, k)

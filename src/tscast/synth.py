@@ -18,7 +18,7 @@ import numpy as np
 
 from .metrics import dtw_multivariate
 from .model import ForecasterConfig
-from .preprocess import ForecastWindow, SeriesFrame, build_windows, preprocess_frame
+from .preprocess import ForecastWindow, SeriesFrame, build_windows, check_integer, preprocess_frame
 from .train import TrainConfig, sliding_forecast, train_model
 
 __all__ = [
@@ -49,10 +49,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_series < 1:
-            raise ValueError(f"n_series must be >= 1, got {self.n_series}")
-        if self.length < 8:
-            raise ValueError(f"series length must be >= 8, got {self.length}")
+        for name, least in (("n_series", 1), ("length", 8), ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         for name in ("slope_range", "period_range", "amplitude_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
@@ -157,8 +155,9 @@ def evaluate_arm(
     """Train one model on the training windows, score sliding multi-step
     forecasts on each preprocessed held-out series (a (length, 1) array).
     Returns the arm result plus the (eval_steps, 1) forecast per held-out
-    series.
+    series. A bad ``eval_steps`` fails before training.
     """
+    check_integer("eval_steps", eval_steps, 1)
     params, _ = train_model(windows, model_config, train_config)
 
     mse_list, dtw_list, predictions = [], [], []
@@ -188,7 +187,8 @@ def ablation_run(
     spec = spec or SynthSpec()
     model_config = model_config or default_ablation_model_config(seed=spec.seed)
     train_config = train_config or default_ablation_train_config(seed=spec.seed)
-    if not 1 <= eval_steps <= spec.length - model_config.T:
+    check_integer("eval_steps", eval_steps, 1)
+    if eval_steps > spec.length - model_config.T:
         raise ValueError(f"eval_steps={eval_steps} must lie between 1 and length - T = {spec.length - model_config.T}")
     corpus = generate(spec)
     n_train = len(corpus) - max(1, int(round(HOLDOUT_FRACTION * len(corpus))))

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, constant, mean_all
-from .metrics import check_radius, dtw_multivariate, mae_metric
-from .model import STREAMS, ForecasterConfig, ForecasterParams, _check_integers, forecast, forecast_batch, init_forecaster
-from .preprocess import ForecastWindow, SeriesFrame, blocked_kfold, build_windows
+from .metrics import dtw_multivariate, mae_metric
+from .model import STREAMS, ForecasterConfig, ForecasterParams, forecast, forecast_batch, init_forecaster
+from .preprocess import ForecastWindow, SeriesFrame, blocked_kfold, build_windows, check_integer
 
 __all__ = [
     "AdamState",
@@ -63,7 +63,8 @@ class TrainConfig:
         real = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
         if not (real and math.isfinite(lr) and lr > 0):
             raise ValueError(f"config field learning_rate must be a positive finite number, got {lr!r}")
-        _check_integers(self, (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)))
+        for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
+            check_integer(f"config field {name}", getattr(self, name), least)
 
 
 @dataclass
@@ -218,14 +219,15 @@ def predict_windows(
     The windows go through ``forecast_batch`` in chunks of at most
     :func:`_predict_chunk` windows, which bounds the memory a call holds. A
     last chunk shorter than ``ROW_BLOCK`` takes that many windows from the
-    chunk before it, so every chunk starts at a multiple of ``ROW_BLOCK``
-    and holds at least that many (unless N is smaller). Every row then
-    meets the BLAS kernels it would meet in one
-    batch of all N windows, and gets the same bits: OpenBLAS computes
-    products of a few rows on other paths (matrix-vector for one row, a
-    small-matrix kernel for the GRU's recurrent products below about 19
-    rows at H = 64), and its matrix-vector kernel treats the rows of an
-    unfinished aligned block apart.
+    chunk before it, or joins it whole when that chunk is one block, so
+    every chunk starts at a multiple of ``ROW_BLOCK`` and holds at least
+    that many (unless N is smaller). Every row then meets
+    the BLAS kernels it would meet in one batch of all N windows, and gets
+    the same bits: OpenBLAS computes products of a few rows on other paths
+    (matrix-vector for one row, a small-matrix kernel for the GRU's
+    recurrent products below about 19 rows at H = 64), and its
+    matrix-vector kernel treats the rows of an unfinished aligned block
+    apart.
     """
     n = len(windows)
     if n == 0:
@@ -233,6 +235,8 @@ def predict_windows(
     bounds = list(range(0, n, _predict_chunk(config))) + [n]
     if len(bounds) > 2 and n - bounds[-2] < ROW_BLOCK:
         bounds[-2] -= ROW_BLOCK
+        if bounds[-2] == bounds[-3]:  # the chunk before was one block
+            del bounds[-2]
     outputs = []
     for lo, hi in zip(bounds, bounds[1:]):
         inputs = np.stack([w.input for w in windows[lo:hi]])
@@ -341,7 +345,9 @@ def cross_validate(
     ``model_config.seed + fold``. A bad ``dtw_radius``, horizon or ``k`` is
     rejected before any training.
     """
-    check_radius(dtw_radius)
+    check_integer("radius", dtw_radius, 0)
+    for horizon in horizons:
+        check_integer("horizon", horizon, 1)
     metrics: dict[str, list[float]] = {"mse": [], "mae": []}
     metrics.update((f"dtw_{horizon}step", []) for horizon in horizons)
     runs = []  # (horizon, windows, folds), all built before the first training
@@ -390,13 +396,13 @@ def sliding_forecast(
     series = np.asarray(series, dtype=np.float64)
     if series.ndim == 1:
         series = series[:, None]
+    check_integer("start", start, 0)
+    check_integer("total_steps", total_steps, 1)
     if not config.T <= start <= len(series):
         raise ValueError(
             f"start={start} must lie between the window length T={config.T} "
             f"and the series length {len(series)}"
         )
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
 
     bad = np.flatnonzero(~np.isfinite(series[start - config.T : start]).all(axis=1))
     if bad.size:

@@ -100,6 +100,21 @@ def test_ingest_rejects_a_repeated_or_empty_header_name(tmp_path, capsys, header
     assert says in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, says", [
+    ("t,a,b\n2021,1.0,2.0\n2022,3.0,oops\n", "3: column 3 is not numeric: 'oops'"),
+    ("t,a,b\n2021,1.0,2.0\n2022,3.0\n", "3: expected 3 columns, found 2"),
+    ("t,a,b\n2021,1.0,\n", "2: column 3 is missing a value"),
+    ("t,a,b\n2021,inf,2.0\n", "2: column 2 is not finite: 'inf'"),
+    ("t,a,a\n2021,1.0,2.0\n", "1: column 3 repeats the name 'a'"),
+    ("t,,b\n2021,1.0,2.0\n", "1: column 2 has no name"),
+], ids=["not-numeric", "short-row", "missing", "not-finite", "repeated-name", "no-name"])
+def test_ingest_counts_the_timestamp_column_in_its_errors(tmp_path, capsys, body, says):
+    path = tmp_path / "ts.csv"
+    path.write_text(body)
+    assert run(["ingest-check", "--input", str(path), "--timestamp-col"]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{says}\n"
+
+
 def test_ingest_missing_file():
     with pytest.raises(CliError):
         ingest_csv("/nonexistent/nowhere.csv")
@@ -375,7 +390,7 @@ def test_crossval_rejects_a_negative_radius(tmp_path, capsys):
     _write_series_csv(data)
     code = run(["crossval", "--input", str(data), "--radius", "-1", "--out-dir", str(tmp_path / "cv")])
     assert code == 1
-    assert "--radius must be >= 0, got -1" in capsys.readouterr().err
+    assert "--radius must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "cv").exists()
 
 

@@ -154,7 +154,11 @@ def test_ablation_rejects_a_bad_eval_steps_before_training(monkeypatch, eval_ste
     calls = []
     monkeypatch.setattr(synth, "train_model", lambda *args: calls.append(args))
     spec = SynthSpec(n_series=6, length=40, seed=2)  # at T=16, 1 ... 24 steps fit
-    with pytest.raises(ValueError, match=f"^eval_steps={eval_steps} must lie between 1 and"):
+    if eval_steps < 1:
+        message = f"^eval_steps must be an integer >= 1, got {eval_steps}$"
+    else:
+        message = f"^eval_steps={eval_steps} must lie between 1 and"
+    with pytest.raises(ValueError, match=message):
         ablation_run(spec, FAST_MODEL, FAST_TRAIN, eval_steps=eval_steps)
     assert calls == []
 

@@ -368,7 +368,7 @@ def test_cross_validate_rejects_a_bad_radius_before_training(monkeypatch):
 
 
 @pytest.mark.parametrize("horizon, message", [
-    (0, "horizon L must be >= 1"),
+    (0, "^horizon must be an integer >= 1, got 0"),
     (53, "cannot fit one window"),  # 8 + 53 > 60 rows
     (51, "2 windows cannot form 3 folds"),
 ])
@@ -484,6 +484,14 @@ def test_predict_windows_chunks_at_the_default_config():
     # a chunk of the 32 .. 64 windows predict_windows makes, at N that leave
     # a last chunk of 1, 2, 18 and 31 windows before it is merged
     _predict_rows_equal_one_batch(ForecasterConfig(v=1), (65, 66, 82, 95, 129))
+
+
+def test_predict_windows_at_a_one_block_chunk():
+    # 448 KiB of activations a window leave a chunk of one block, where a
+    # short last chunk used to empty the chunk before it
+    config = ForecasterConfig(v=1, n_filters=64, gru_hidden=128)
+    assert train._predict_chunk(config) == train.ROW_BLOCK
+    _predict_rows_equal_one_batch(config, (40, 70))
 
 
 # ---------------------------------------------------------------------------

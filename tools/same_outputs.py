@@ -7,8 +7,11 @@ checkout's ``src``). Both trees run the same commands on one generated
 two-variable series, each in its own scratch directory and with BLAS on
 one thread: ``train``, ``forecast``, ``evaluate``, ``crossval --horizons
 3,5``, ``crossval --horizons 1,3,3`` (a listed horizon 1 and a repeated
-horizon) and ``synth-ablate --seeds 0,1 --epochs 3``. Every output file is
-then listed as ``same`` or ``differs``. A ``manifest.json`` is compared
+horizon), ``synth-ablate --seeds 0,1 --epochs 3``, and ``train`` and
+``evaluate`` of a 64-filter model with ``gru_hidden`` 128 at ``--window
+64``, set by a ``wide.json`` config written beside ``series.csv``, whose
+``predict_windows`` chunks are one block of 32 windows. Every output file
+is then listed as ``same`` or ``differs``. A ``manifest.json`` is compared
 without its wall-clock ``timings``. The exit code is 1 if any file
 differs or is missing on one side, else 0.
 
@@ -37,7 +40,11 @@ COMMANDS = [
     ["crossval", "--input", "series.csv", "--window", "16", "--epochs", "2", "--folds", "3", "--horizons", "1,3,3",
      "--out-dir", "crossval-repeat"],
     ["synth-ablate", "--seeds", "0,1", "--epochs", "3", "--out-dir", "ablate"],
+    ["train", "--input", "series.csv", "--config", "wide.json", "--window", "64", "--epochs", "1",
+     "--out-dir", "train-wide"],
+    ["evaluate", "--input", "series.csv", "--checkpoint", "train-wide/checkpoint.json", "--out-dir", "evaluate-wide"],
 ]
+WIDE_CONFIG = {"model": {"n_filters": 64, "gru_hidden": 128}}  # 448 KiB of activations a window
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -53,6 +60,7 @@ def write_series(path: Path) -> None:
 def run_tree(src: Path, work: Path) -> None:
     work.mkdir(parents=True)
     write_series(work / "series.csv")
+    (work / "wide.json").write_text(json.dumps(WIDE_CONFIG), encoding="utf-8")
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
     for args in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "tscast", *args], cwd=work, env=env, capture_output=True, text=True)
