@@ -15,8 +15,8 @@ Result tables are delimiter-separated text. Schemas:
 - forecast.csv:  step,variable,value            (long format, input's units;
                                                  the smoothing is not undone)
 - traces.csv:    trace,series,step,value        (long format; series is
-                                                 truth / with_shortcut /
-                                                 without_shortcut)
+                                                 truth or an arm name, in
+                                                 ablation.csv's arm order)
 - ablation.csv:  seed,arm,mean_mse,mean_dtw
 - corpus.csv:    one synthetic series per column
 
@@ -40,14 +40,7 @@ import numpy as np
 from .metrics import mae_metric
 from .model import STREAMS, ForecasterConfig, load_checkpoint, save_checkpoint
 from .preprocess import SeriesFrame, build_windows, check_integer, invert_normalizer, preprocess_frame
-from .synth import (
-    SynthSpec,
-    ablation_run,
-    corpus_to_frame,
-    default_ablation_model_config,
-    default_ablation_train_config,
-    generate,
-)
+from .synth import SynthSpec, ablation_run, corpus_to_frame, default_ablation_train_config, generate
 from .train import (
     TrainConfig,
     cross_validate,
@@ -141,8 +134,10 @@ def _sha256(path) -> str:
 
 
 class RunManifest:
-    def __init__(self, out_dir: Path, command: str, config: dict, seeds: dict):
-        self.out_dir = out_dir
+    """A run's record; the output directory is made at its first write."""
+
+    def __init__(self, out_dir, command: str, config: dict, seeds: dict):
+        self.out_dir = Path(out_dir)
         self.payload = {
             "command": command,
             "config": config,
@@ -158,6 +153,7 @@ class RunManifest:
 
     def add_artifact(self, name: str) -> Path:
         """Register the file ``name`` in the output directory; return its path."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         self.payload["artifacts"].append(str(path))
         return path
@@ -169,6 +165,7 @@ class RunManifest:
 
     def finish(self) -> Path:
         self.payload["timings"]["wall_seconds"] = round(time.time() - self._t0, 3)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / "manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.payload, fh, indent=2, sort_keys=True)
@@ -202,8 +199,10 @@ def _load_config_file(path) -> dict:
         raise CliError(f"cannot read config {path}: {err}") from None
     if not isinstance(payload, dict):
         raise CliError(f"{path}: config must be a JSON object")
-    for section in ("model", "train"):
-        if not isinstance(payload.get(section, {}), dict):
+    for section, value in payload.items():
+        if section not in ("model", "train"):
+            raise CliError(f"{path}: unknown config section {section!r}; the sections are 'model' and 'train'")
+        if not isinstance(value, dict):
             raise CliError(f"{path}: config section {section!r} must be a JSON object")
     return payload
 
@@ -238,12 +237,6 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise CliError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _ingest(args) -> SeriesFrame:
     return ingest_csv(
         args.input,
@@ -262,7 +255,7 @@ def _cmd_ingest_check(args) -> int:
     print(f"{args.input}: {frame.length} rows, {frame.n_variables} variables")
     print("variables:", ", ".join(frame.names))
     if args.out_dir is not None:
-        manifest = RunManifest(_out_dir(args), "ingest-check", {"rows": frame.length, "variables": frame.names}, {})
+        manifest = RunManifest(args.out_dir, "ingest-check", {"rows": frame.length, "variables": frame.names}, {})
         manifest.add_input(args.input)
         manifest.finish()
     return 0
@@ -272,7 +265,7 @@ def _cmd_train(args) -> int:
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
     manifest = RunManifest(
-        _out_dir(args),
+        args.out_dir,
         "train",
         {"model": asdict(model_config), "train": asdict(train_config), "stride": args.stride},
         {"model": model_config.seed, "train": train_config.seed},
@@ -313,7 +306,7 @@ def _load_model(args, frame) -> tuple:
 def _cmd_evaluate(args) -> int:
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
-    manifest = RunManifest(_out_dir(args), "evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
+    manifest = RunManifest(args.out_dir, "evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
     manifest.add_input(args.input)
     manifest.add_input(args.checkpoint)
 
@@ -350,7 +343,7 @@ def _cmd_crossval(args) -> int:
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
     manifest = RunManifest(
-        _out_dir(args),
+        args.out_dir,
         "crossval",
         {
             "model": asdict(model_config),
@@ -391,7 +384,7 @@ def _cmd_crossval(args) -> int:
 def _cmd_forecast(args) -> int:
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
-    manifest = RunManifest(_out_dir(args), "forecast", {"model": asdict(model_config), "steps": args.steps}, {})
+    manifest = RunManifest(args.out_dir, "forecast", {"model": asdict(model_config), "steps": args.steps}, {})
     manifest.add_input(args.input)
     manifest.add_input(args.checkpoint)
 
@@ -411,7 +404,7 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_synth_gen(args) -> int:
     spec = SynthSpec(n_series=args.n_series, length=args.length, seed=args.seed or 0)
-    manifest = RunManifest(_out_dir(args), "synth-gen", asdict(spec), {"spec": spec.seed})
+    manifest = RunManifest(args.out_dir, "synth-gen", asdict(spec), {"spec": spec.seed})
     frame = corpus_to_frame(generate(spec))
     path = manifest.write_table("corpus.csv", frame.names, frame.data)
     manifest.finish()
@@ -421,10 +414,12 @@ def _cmd_synth_gen(args) -> int:
 
 def _cmd_synth_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
+    if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
+        raise CliError(f"--seeds takes one or more distinct seeds >= 0, got {args.seeds!r}")
     check_integer("--trace-series", args.trace_series, 0)
     base_spec = SynthSpec(n_series=args.n_series, length=args.length)
     manifest = RunManifest(
-        _out_dir(args),
+        args.out_dir,
         "synth-ablate",
         {"spec": asdict(base_spec), "eval_steps": args.eval_steps, "seeds": seeds},
         {"seeds": seeds},
@@ -432,25 +427,19 @@ def _cmd_synth_ablate(args) -> int:
 
     ablation_rows = []
     trace_rows = []
-    wins = 0
+    wins = 0  # seeds on which the first arm, the full model, beat every other arm
     for seed in seeds:
-        spec = replace(base_spec, seed=seed)
-        model_config = default_ablation_model_config(seed=seed)
-        train_config = default_ablation_train_config(seed=seed)
+        train_config = None
         if args.epochs is not None:
-            train_config = replace(train_config, epochs=args.epochs)
-        result = ablation_run(
-            spec,
-            model_config,
-            train_config,
-            eval_steps=args.eval_steps,
-        )
-        for arm_name, arm in (("with_shortcut", result.with_shortcut), ("without_shortcut", result.without_shortcut)):
-            ablation_rows.append([str(seed), arm_name, arm.mean_mse, arm.mean_dtw])
-        wins += result.with_shortcut.mean_mse < result.without_shortcut.mean_mse
+            train_config = replace(default_ablation_train_config(seed=seed), epochs=args.epochs)
+        result = ablation_run(replace(base_spec, seed=seed), train_config=train_config, eval_steps=args.eval_steps)
+        for name, arm in result.arms.items():
+            ablation_rows.append([str(seed), name, arm.mean_mse, arm.mean_dtw])
+        full, *ablated = result.arms.values()
+        wins += all(full.mean_mse < arm.mean_mse for arm in ablated)
         for trace_no, trace in enumerate(result.traces[: args.trace_series]):
             label, start = f"seed{seed}-{trace_no}", trace["start"]
-            for series, first in (("truth", 0), ("with_shortcut", start), ("without_shortcut", start)):
+            for series, first in (("truth", 0), *((name, start) for name in result.arms)):
                 for step, value in enumerate(trace[series], start=first):
                     trace_rows.append([label, series, str(step), value])
 

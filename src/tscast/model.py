@@ -75,6 +75,8 @@ class ForecasterConfig:
         for name, least in (("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
                             ("gru_hidden", 1), ("ar_window", 1), ("seed", 0)):
             check_integer(f"config field {name}", getattr(self, name), least)
+        if not isinstance(self.use_ar_shortcut, (bool, np.bool_)):
+            raise ValueError(f"config field use_ar_shortcut must be a bool, got {self.use_ar_shortcut!r}")
         if self.T % STREAMS[-1][1] != 0:
             raise ValueError(f"input length T={self.T} must be a multiple of {STREAMS[-1][1]}")
         if self.ar_window > self.T:
@@ -456,7 +458,7 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         config = ForecasterConfig(**_field(path, payload, "config"))
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: invalid config: {err}") from None
     params = init_forecaster(config)
     stored = {name: _stored_array(path, name, entry) for name, entry in _field(path, payload, "params").items()}

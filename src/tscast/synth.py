@@ -1,5 +1,5 @@
-"""Synthetic corpus of trending, periodic series, and the paired
-with/without-shortcut experiment that uses it.
+"""Synthetic corpus of trending, periodic series, and the ablation that
+trains one model per arm of ``ARMS`` on it.
 
 Each series is trend + sinusoid + Gaussian noise:
 
@@ -22,6 +22,7 @@ from .preprocess import ForecastWindow, SeriesFrame, build_windows, check_intege
 from .train import TrainConfig, sliding_forecast, train_model
 
 __all__ = [
+    "ARMS",
     "AblationArm",
     "AblationResult",
     "SynthSeries",
@@ -109,7 +110,14 @@ def corpus_to_frame(corpus: list[SynthSeries]) -> SeriesFrame:
 
 
 # ---------------------------------------------------------------------------
-# with/without-shortcut experiment
+# the ablation
+
+# The ablation's arms in training and table order: each arm's name and the
+# ForecasterConfig fields it sets. The first is the full model the rest ablate.
+ARMS = (
+    ("with_shortcut", {"use_ar_shortcut": True}),
+    ("without_shortcut", {"use_ar_shortcut": False}),
+)
 
 
 def default_ablation_model_config(seed: int = 0) -> ForecasterConfig:
@@ -140,9 +148,17 @@ class AblationArm:
 class AblationResult:
     seed: int
     eval_steps: int
-    with_shortcut: AblationArm
-    without_shortcut: AblationArm
+    arms: dict[str, AblationArm]  # in ARMS order
     traces: list[dict]
+
+    # perfbench's ablation workload reads the two arms by these names
+    @property
+    def with_shortcut(self) -> AblationArm:
+        return self.arms["with_shortcut"]
+
+    @property
+    def without_shortcut(self) -> AblationArm:
+        return self.arms["without_shortcut"]
 
 
 def evaluate_arm(
@@ -177,11 +193,12 @@ def ablation_run(
     train_config: TrainConfig | None = None,
     eval_steps: int = 20,
 ) -> AblationResult:
-    """Train two models identical except for the shortcut flag and compare
-    held-out sliding multi-step error.
+    """Train one model per arm of ``ARMS``, each ``model_config`` with the
+    arm's fields set, and compare held-out sliding multi-step error.
 
-    The corpus is preprocessed, split and windowed once; both arms train
-    on the same window list and are scored on the same held-out arrays.
+    The corpus is preprocessed, split and windowed once; every arm trains
+    on the same window list and is scored on the same held-out arrays.
+    Each trace holds the series' truth and one rollout per arm name.
     An ``eval_steps`` outside 1 ... spec.length - T fails before training.
     """
     spec = spec or SynthSpec()
@@ -204,28 +221,19 @@ def ablation_run(
         else:
             held_out.append(frame.data)
 
-    arm_on, preds_on = evaluate_arm(
-        windows, held_out, replace(model_config, use_ar_shortcut=True), train_config, eval_steps
-    )
-    arm_off, preds_off = evaluate_arm(
-        windows, held_out, replace(model_config, use_ar_shortcut=False), train_config, eval_steps
-    )
-
-    traces = []
-    for offset, (data, on, off) in enumerate(zip(held_out, preds_on, preds_off)):
-        traces.append(
-            {
-                "series_index": n_train + offset,
-                "start": data.shape[0] - eval_steps,
-                "truth": data[:, 0].copy(),
-                "with_shortcut": on[:, 0].copy(),
-                "without_shortcut": off[:, 0].copy(),
-            }
+    arms, predictions = {}, {}
+    for name, fields in ARMS:
+        arms[name], predictions[name] = evaluate_arm(
+            windows, held_out, replace(model_config, **fields), train_config, eval_steps
         )
-    return AblationResult(
-        seed=spec.seed,
-        eval_steps=eval_steps,
-        with_shortcut=arm_on,
-        without_shortcut=arm_off,
-        traces=traces,
-    )
+
+    traces = [
+        {
+            "series_index": n_train + offset,
+            "start": data.shape[0] - eval_steps,
+            "truth": data[:, 0].copy(),
+            **{name: preds[offset][:, 0].copy() for name, preds in predictions.items()},
+        }
+        for offset, data in enumerate(held_out)
+    ]
+    return AblationResult(seed=spec.seed, eval_steps=eval_steps, arms=arms, traces=traces)

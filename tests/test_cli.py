@@ -350,7 +350,9 @@ def test_synth_ablate_emits_paired_results_and_traces(tmp_path):
 
 def test_synth_ablate_rejects_a_negative_trace_count_and_bad_seeds(tmp_path, capsys):
     out = tmp_path / "ablate"
-    for flag, value in (("--trace-series", "-1"), ("--seeds", "0,x")):
+    for flag, value in (
+        ("--trace-series", "-1"), ("--seeds", "0,x"), ("--seeds", ""), ("--seeds", "0,0"), ("--seeds", "1,-1"),
+    ):
         assert run(["synth-ablate", "--seeds", "0", flag, value, "--out-dir", str(out)]) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
@@ -458,13 +460,43 @@ def test_train_config_names_a_bad_field(tmp_path, capsys):
 
 
 def test_train_model_config_names_a_bad_field(tmp_path, capsys):
-    # whole floats passed the integer check and crashed inside the model
-    bad = (("n_filters", 2.0), ("kernel_size", 3.0), ("gru_hidden", True), ("seed", 1.5), ("seed", -1))
+    # whole floats passed the integer check and crashed inside the model; the
+    # string "false" is truthy, so it trained with the shortcut on
+    bad = (
+        ("n_filters", 2.0), ("kernel_size", 3.0), ("gru_hidden", True), ("seed", 1.5), ("seed", -1),
+        ("use_ar_shortcut", "false"),
+    )
     for key, value in bad:
         code, out = _run_with_config(tmp_path, "train", {"model": {key: value}, "train": {"epochs": 1}})
         assert code == 1
         assert f"error: invalid configuration: config field {key} must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_train_and_crossval_reject_an_unknown_config_section(tmp_path, capsys):
+    # a misspelled section trained at the defaults and exited 0
+    for command in ("train", "crossval"):
+        code, out = _run_with_config(tmp_path, command, {"modle": {"T": 16}})
+        assert code == 1
+        assert f"{tmp_path / 'config.json'}: unknown config section 'modle'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    data, ckpt = inputs / "data.csv", inputs / "checkpoint.json"
+    _write_series_csv(data)
+    config = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
+    save_checkpoint(ckpt, init_forecaster(config), config)
+    for argv, says in (
+        (["synth-ablate", "--eval-steps", "0"], "eval_steps must be"),
+        (["forecast", "--input", str(data), "--checkpoint", str(ckpt), "--steps", "0"], "steps must be"),
+        (["crossval", "--input", str(data), "--window", "8", "--folds", "1"], "k must be"),
+    ):
+        assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        assert says in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [inputs]
 
 
 def _readme_synopsis() -> dict[str, str]:

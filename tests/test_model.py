@@ -66,6 +66,17 @@ def test_config_takes_numpy_integers():
     assert (config.v, config.T, config.seed) == (1, 16, 0)
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1])
+def test_config_rejects_a_shortcut_flag_that_is_not_a_bool(value):
+    # the string "false" is truthy, so it trained with the shortcut on
+    with pytest.raises(ValueError, match=f"^config field use_ar_shortcut must be a bool, got {value!r}$"):
+        ForecasterConfig(v=1, T=16, use_ar_shortcut=value)
+
+
+def test_config_takes_numpy_bools():
+    assert ForecasterConfig(v=1, T=16, use_ar_shortcut=np.False_).use_ar_shortcut == np.False_
+
+
 def test_init_deterministic():
     a = init_forecaster(TINY)
     b = init_forecaster(TINY)
@@ -766,6 +777,17 @@ def test_checkpoint_entry_that_does_not_load_names_file_entry_count_and_shape(tm
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == f"{path}: entry {named}"
+
+
+def test_checkpoint_with_a_shortcut_flag_that_is_not_a_bool_names_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_forecaster(TINY), TINY)
+    payload = json.loads(path.read_text())
+    payload["config"]["use_ar_shortcut"] = "false"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: invalid config: config field use_ar_shortcut must be a bool, got 'false'"
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):

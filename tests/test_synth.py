@@ -144,6 +144,24 @@ def test_ablation_traces_pair_the_arms():
     assert np.array_equal(result.traces[0]["with_shortcut"], preds_on[0][:, 0])
 
 
+def test_ablation_trains_one_model_per_arm_in_table_order(monkeypatch):
+    base = replace(FAST_MODEL, use_ar_shortcut=False, seed=3)
+    trained_on = []
+
+    def spy(windows, held_out, model_config, train_config, eval_steps):
+        trained_on.append(model_config)
+        return evaluate_arm(windows, held_out, model_config, train_config, eval_steps)
+
+    monkeypatch.setattr(synth, "evaluate_arm", spy)
+    result = ablation_run(SMALL_SPEC, base, replace(FAST_TRAIN, epochs=1), eval_steps=8)
+    names = [name for name, _ in synth.ARMS]
+    assert list(result.arms) == names
+    assert trained_on == [replace(base, **fields) for _, fields in synth.ARMS]
+    assert all(list(trace) == ["series_index", "start", "truth", *names] for trace in result.traces)
+    assert result.with_shortcut is result.arms["with_shortcut"]
+    assert result.without_shortcut is result.arms["without_shortcut"]
+
+
 def test_ablation_rejects_a_corpus_with_no_training_series():
     with pytest.raises(ValueError, match="no training series"):
         ablation_run(SynthSpec(n_series=1, length=40), FAST_MODEL, FAST_TRAIN, eval_steps=8)

@@ -10,10 +10,13 @@ one thread: ``train``, ``forecast``, ``evaluate``, ``crossval --horizons
 horizon), ``synth-ablate --seeds 0,1 --epochs 3``, and ``train`` and
 ``evaluate`` of a 64-filter model with ``gru_hidden`` 128 at ``--window
 64``, set by a ``wide.json`` config written beside ``series.csv``, whose
-``predict_windows`` chunks are one block of 32 windows. Every output file
-is then listed as ``same`` or ``differs``. A ``manifest.json`` is compared
-without its wall-clock ``timings``. The exit code is 1 if any file
-differs or is missing on one side, else 0.
+``predict_windows`` chunks are one block of 32 windows. A command that
+fails is recorded with the tail of its stderr, and the remaining commands
+still run. Every file either side wrote is then listed as ``same``,
+``differs`` or missing on one side, and each failed command is printed
+after the list. A ``manifest.json`` is compared without its wall-clock
+``timings``. The exit code is 1 if any command failed or any file differs
+or is missing on one side, else 0.
 
 This is a report for changes meant to keep every output bit for bit, not
 a test: equal bits with an earlier version are not a contract of the
@@ -45,6 +48,7 @@ COMMANDS = [
     ["evaluate", "--input", "series.csv", "--checkpoint", "train-wide/checkpoint.json", "--out-dir", "evaluate-wide"],
 ]
 WIDE_CONFIG = {"model": {"n_filters": 64, "gru_hidden": 128}}  # 448 KiB of activations a window
+STDERR_LINES = 5  # of a failed command's stderr, kept for the report
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -57,15 +61,20 @@ def write_series(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run_tree(src: Path, work: Path) -> None:
+def run_tree(src: Path, work: Path) -> list[str]:
+    """Run every command of ``COMMANDS`` in ``work`` with the package in
+    ``src``; return one report, with its stderr tail, per failed command."""
     work.mkdir(parents=True)
     write_series(work / "series.csv")
     (work / "wide.json").write_text(json.dumps(WIDE_CONFIG), encoding="utf-8")
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)}
+    failures = []
     for args in COMMANDS:
         done = subprocess.run([sys.executable, "-m", "tscast", *args], cwd=work, env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            sys.exit(f"{src}: tscast {args[0]} failed with code {done.returncode}:\n{done.stderr}")
+            tail = "\n".join(done.stderr.strip().splitlines()[-STDERR_LINES:])
+            failures.append(f"{src}: tscast {' '.join(args)} failed with code {done.returncode}:\n{tail}")
+    return failures
 
 
 def contents(path: Path) -> bytes:
@@ -85,8 +94,7 @@ def main(argv: list[str]) -> int:
             sys.exit(f"{src} holds no tscast package")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         sides = Path(tmp) / "parent", Path(tmp) / "change"
-        for src, work in zip((parent, change), sides):
-            run_tree(src, work)
+        failures = [report for src, work in zip((parent, change), sides) for report in run_tree(src, work)]
         names = sorted({p.relative_to(w) for w in sides for p in w.rglob("*") if p.is_file()})
         differ = 0
         for name in names:
@@ -98,7 +106,10 @@ def main(argv: list[str]) -> int:
             differ += verdict != "same"
             print(f"{verdict:>17}  {name}")
     print(f"{len(names) - differ} of {len(names)} files the same")
-    return 1 if differ else 0
+    for report in failures:
+        print(report)
+    print(f"{len(failures)} of {2 * len(COMMANDS)} commands failed")
+    return 1 if differ or failures else 0
 
 
 if __name__ == "__main__":
