@@ -637,21 +637,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _record(out, tuple(tensors), grad_fn)
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x, axes) -> Tensor:
     """Permute the axes of ``x`` as ``np.transpose`` does, into a
     row-major copy.
 
-    Without ``axes`` the input must be a matrix, and its two axes swap.
-    With ``axes``, a permutation of ``range(x.ndim)``, output axis i is
-    input axis ``axes[i]``; the gradient is permuted back by the inverse
+    ``axes`` is a permutation of ``range(x.ndim)``: output axis i is input
+    axis ``axes[i]``; the gradient is permuted back by the inverse
     permutation, the one thing the record keeps besides the operand.
     """
     x = _as_tensor(x)
-    if axes is None:
-        if x.values.ndim != 2:
-            raise DimensionError(f"transpose: expected a matrix, got shape {x.shape}")
-        axes = (1, 0)
-    elif sorted(axes) != list(range(x.values.ndim)):
+    if sorted(axes) != list(range(x.values.ndim)):
         raise DimensionError(f"transpose: axes {tuple(axes)} do not permute the axes of shape {x.shape}")
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))

@@ -237,6 +237,12 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise CliError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
+def _check_counts(args, **least) -> None:
+    """Check each integer flag, given as ``dest=least``, by its flag name."""
+    for dest, at_least in least.items():
+        check_integer("--" + dest.replace("_", "-"), getattr(args, dest), at_least)
+
+
 def _ingest(args) -> SeriesFrame:
     return ingest_csv(
         args.input,
@@ -262,6 +268,7 @@ def _cmd_ingest_check(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_counts(args, stride=1)
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
     manifest = RunManifest(
@@ -304,6 +311,7 @@ def _load_model(args, frame) -> tuple:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_counts(args, stride=1)
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
     manifest = RunManifest(args.out_dir, "evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
@@ -335,11 +343,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
+    _check_counts(args, folds=2, stride=1, radius=0)
     if "L" in _load_config_file(args.config).get("model", {}):
         # cross_validate sets L itself: 1, then each of --horizons
         raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
-    check_integer("--radius", args.radius, 0)
     horizons = tuple(_int_list("--horizons", args.horizons))
+    for horizon in horizons:
+        check_integer("--horizons", horizon, 1)
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
     manifest = RunManifest(
@@ -382,6 +392,7 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
+    _check_counts(args, steps=1)
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
     manifest = RunManifest(args.out_dir, "forecast", {"model": asdict(model_config), "steps": args.steps}, {})
@@ -403,7 +414,8 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_synth_gen(args) -> int:
-    spec = SynthSpec(n_series=args.n_series, length=args.length, seed=args.seed or 0)
+    _check_counts(args, n_series=1, length=8, seed=0)
+    spec = SynthSpec(n_series=args.n_series, length=args.length, seed=args.seed)
     manifest = RunManifest(args.out_dir, "synth-gen", asdict(spec), {"spec": spec.seed})
     frame = corpus_to_frame(generate(spec))
     path = manifest.write_table("corpus.csv", frame.names, frame.data)
@@ -416,7 +428,7 @@ def _cmd_synth_ablate(args) -> int:
     seeds = _int_list("--seeds", args.seeds)
     if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
         raise CliError(f"--seeds takes one or more distinct seeds >= 0, got {args.seeds!r}")
-    check_integer("--trace-series", args.trace_series, 0)
+    _check_counts(args, n_series=1, length=8, eval_steps=1, trace_series=0)
     base_spec = SynthSpec(n_series=args.n_series, length=args.length)
     manifest = RunManifest(
         args.out_dir,

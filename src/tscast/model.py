@@ -74,9 +74,10 @@ class ForecasterConfig:
     def __post_init__(self):
         for name, least in (("v", 1), ("T", 1), ("L", 1), ("n_filters", 1), ("kernel_size", 1),
                             ("gru_hidden", 1), ("ar_window", 1), ("seed", 0)):
-            check_integer(f"config field {name}", getattr(self, name), least)
+            setattr(self, name, check_integer(f"config field {name}", getattr(self, name), least))
         if not isinstance(self.use_ar_shortcut, (bool, np.bool_)):
             raise ValueError(f"config field use_ar_shortcut must be a bool, got {self.use_ar_shortcut!r}")
+        self.use_ar_shortcut = bool(self.use_ar_shortcut)
         if self.T % STREAMS[-1][1] != 0:
             raise ValueError(f"input length T={self.T} must be a multiple of {STREAMS[-1][1]}")
         if self.ar_window > self.T:
@@ -285,7 +286,7 @@ def ar_predict(windows, shortcut: ShortcutParams, ar_window: int) -> Tensor:
         )
     # every (window, variable) pair is one column of trailing values
     recent = constant(windows[:, -ar_window:, :].transpose(1, 0, 2).reshape(ar_window, b * v))
-    flat = ad.matmul(ad.transpose(shortcut.w), recent) + ad.reshape(shortcut.b, (-1, 1))  # (L, B*v)
+    flat = ad.matmul(ad.transpose(shortcut.w, (1, 0)), recent) + ad.reshape(shortcut.b, (-1, 1))  # (L, B*v)
     return ad.reshape(flat, (-1, b, v))
 
 
@@ -343,17 +344,14 @@ def ridge_fit(X, y, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
     Solves (X'X + lam I) w = X'y by Cholesky factorization; the intercept
     restores the means. lam=0 requires X'X to be invertible.
-
-    scipy is imported here and not at module level: nothing else in the
-    package uses it, and loading ``scipy.linalg`` takes most of the time
-    ``import tscast`` would otherwise take.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"ridge_fit: X must be 2-d, got shape {X.shape}")
+    for name, a in (("X", X), ("y", y)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"ridge_fit: {name} must not contain infs or NaNs")
     squeeze = y.ndim == 1
     if squeeze:
         y = y[:, None]
@@ -368,7 +366,8 @@ def ridge_fit(X, y, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     yc = y - y_mean
     gram = xc.T @ xc + lam * np.eye(X.shape[1])
     try:
-        w = cho_solve(cho_factor(gram), xc.T @ yc)
+        chol = np.linalg.cholesky(gram)
+        w = np.linalg.solve(chol.T, np.linalg.solve(chol, xc.T @ yc))
     except np.linalg.LinAlgError as err:
         raise FloatingPointError(
             f"ridge_fit: singular normal equations ({err}); use lam > 0"

@@ -30,11 +30,12 @@ __all__ = [
 CONSTANT_STD_FLOOR = 1e-8
 
 
-def check_integer(name: str, value, least: int) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer
-    (a numpy integer counts, a bool does not) of at least ``least``."""
+def check_integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int; a ValueError naming ``name`` unless it is
+    an integer (a numpy integer counts, a bool does not) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass

@@ -51,15 +51,17 @@ class SynthSpec:
 
     def __post_init__(self):
         for name, least in (("n_series", 1), ("length", 8), ("seed", 0)):
-            check_integer(name, getattr(self, name), least)
+            setattr(self, name, check_integer(name, getattr(self, name), least))
         for name in ("slope_range", "period_range", "amplitude_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} is not well ordered: ({lo}, {hi})")
+            setattr(self, name, (float(lo), float(hi)))
         if self.period_range[0] <= 0:
             raise ValueError("periods must be positive")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        self.noise_std = float(self.noise_std)
 
 
 @dataclass
@@ -166,7 +168,7 @@ def evaluate_arm(
     held_out: list[np.ndarray],
     model_config: ForecasterConfig,
     train_config: TrainConfig,
-    eval_steps: int = 20,
+    eval_steps: int,
 ) -> tuple[AblationArm, list[np.ndarray]]:
     """Train one model on the training windows, score sliding multi-step
     forecasts on each preprocessed held-out series (a (length, 1) array).

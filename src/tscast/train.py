@@ -63,8 +63,9 @@ class TrainConfig:
         real = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
         if not (real and math.isfinite(lr) and lr > 0):
             raise ValueError(f"config field learning_rate must be a positive finite number, got {lr!r}")
+        self.learning_rate = float(lr)
         for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
-            check_integer(f"config field {name}", getattr(self, name), least)
+            setattr(self, name, check_integer(f"config field {name}", getattr(self, name), least))
 
 
 @dataclass

@@ -527,7 +527,7 @@ def test_grad_shape_ops():
 
     m = _param(4, 6)
     r6 = _proj((6, 4))
-    _check_op(lambda: mean_all(ad.transpose(m) * r6), [m])
+    _check_op(lambda: mean_all(ad.transpose(m, (1, 0)) * r6), [m])
 
     r7 = _proj((24,))
     _check_op(lambda: mean_all(ad.reshape(m, (24,)) * r7), [m])
@@ -547,8 +547,6 @@ def test_transpose_axes_follows_numpy():
 
 
 def test_transpose_rejects_bad_axes():
-    with pytest.raises(DimensionError, match="expected a matrix"):
-        ad.transpose(constant(np.zeros((2, 3, 4))))
     for axes in [(0, 1), (0, 1, 1), (0, 1, 3)]:
         with pytest.raises(DimensionError, match="do not permute"):
             ad.transpose(constant(np.zeros((2, 3, 4))), axes)

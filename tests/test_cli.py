@@ -490,9 +490,24 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
     config = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
     save_checkpoint(ckpt, init_forecaster(config), config)
     for argv, says in (
-        (["synth-ablate", "--eval-steps", "0"], "eval_steps must be"),
-        (["forecast", "--input", str(data), "--checkpoint", str(ckpt), "--steps", "0"], "steps must be"),
-        (["crossval", "--input", str(data), "--window", "8", "--folds", "1"], "k must be"),
+        (["synth-ablate", "--eval-steps", "0"], "error: --eval-steps must be an integer >= 1, got 0"),
+        (["synth-ablate", "--n-series", "0"], "error: --n-series must be an integer >= 1, got 0"),
+        (["synth-ablate", "--length", "3"], "error: --length must be an integer >= 8, got 3"),
+        (["synth-gen", "--n-series", "0"], "error: --n-series must be an integer >= 1, got 0"),
+        (["synth-gen", "--length", "3"], "error: --length must be an integer >= 8, got 3"),
+        (["synth-gen", "--seed", "-1"], "error: --seed must be an integer >= 0, got -1"),
+        (["forecast", "--input", str(data), "--checkpoint", str(ckpt), "--steps", "0"],
+         "error: --steps must be an integer >= 1, got 0"),
+        (["crossval", "--input", str(data), "--window", "8", "--folds", "1"],
+         "error: --folds must be an integer >= 2, got 1"),
+        (["crossval", "--input", str(data), "--window", "8", "--horizons", "3,0"],
+         "error: --horizons must be an integer >= 1, got 0"),
+        (["crossval", "--input", str(data), "--window", "8", "--stride", "0"],
+         "error: --stride must be an integer >= 1, got 0"),
+        (["train", "--input", str(data), "--window", "8", "--stride", "0"],
+         "error: --stride must be an integer >= 1, got 0"),
+        (["evaluate", "--input", str(data), "--checkpoint", str(ckpt), "--stride", "0"],
+         "error: --stride must be an integer >= 1, got 0"),
     ):
         assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         assert says in capsys.readouterr().err

@@ -44,13 +44,9 @@ def _scipy_modules_after(code: str) -> list[str]:
         "    runpy.run_module('tscast', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as stop:\n"
         "    assert stop.code == 0, stop.code",
+        "import numpy as np, tscast\ntscast.ridge_fit(np.eye(3), np.ones(3))",
     ],
-    ids=["import", "cli-help"],
+    ids=["import", "cli-help", "ridge-fit"],
 )
-def test_scipy_is_not_loaded_without_ridge_fit(code):
+def test_scipy_is_not_loaded(code):
     assert _scipy_modules_after(code) == []
-
-
-def test_ridge_fit_loads_scipy_linalg():
-    loaded = _scipy_modules_after("import numpy as np, tscast\ntscast.ridge_fit(np.eye(3), np.ones(3))")
-    assert "scipy.linalg" in loaded

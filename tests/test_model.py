@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from tscast.model import (
     save_checkpoint,
 )
 from tscast.preprocess import ForecastWindow
-from tscast.synth import default_ablation_model_config
-from tscast.train import predict_windows
+from tscast.synth import SynthSpec, default_ablation_model_config
+from tscast.train import TrainConfig, predict_windows
 
 from _checks import gradcheck
 
@@ -234,8 +234,8 @@ def gru_step(h, x, gru: GruParams) -> Tensor:
     if not isinstance(x, Tensor):
         x = constant(x)
     pick_z, pick_r, pick_h = (constant(c) for c in np.split(np.eye(gru.u.shape[0]), 3, axis=1))
-    u_t = ad.transpose(gru.u)
-    xw = x @ ad.transpose(gru.w) + gru.b  # (B, 3H)
+    u_t = ad.transpose(gru.u, (1, 0))
+    xw = x @ ad.transpose(gru.w, (1, 0)) + gru.b  # (B, 3H)
     hu = h @ u_t
     z = ad.sigmoid(xw @ pick_z + hu @ pick_z)
     r = ad.sigmoid(xw @ pick_r + hu @ pick_r)
@@ -677,6 +677,19 @@ def test_ridge_singular_without_regularization():
         ridge_fit(X, y, lam=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ridge_rejects_non_finite_input(bad):
+    X = np.arange(8.0).reshape(4, 2) ** 2
+    y = np.arange(4.0)
+    X_bad, y_bad = X.copy(), y.copy()
+    X_bad[1, 0] = bad
+    y_bad[2] = bad
+    with pytest.raises(ValueError, match="ridge_fit: X must not contain"):
+        ridge_fit(X_bad, y)
+    with pytest.raises(ValueError, match="ridge_fit: y must not contain"):
+        ridge_fit(X, y_bad)
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -699,6 +712,28 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "model2.ckpt"
     save_checkpoint(path2, loaded, config)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_configs_of_numpy_scalars_store_plain_python_values(tmp_path):
+    # numpy scalars passed every check, then json could not write them
+    config = ForecasterConfig(v=np.int64(2), T=np.int64(8), L=np.int32(2), n_filters=np.int64(3),
+                              kernel_size=np.int64(3), gru_hidden=np.int64(4), seed=np.int64(11),
+                              use_ar_shortcut=np.False_)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_forecaster(config), config)
+    _, loaded = load_checkpoint(path)
+    assert loaded == config == replace(TINY, use_ar_shortcut=False)
+
+    train = TrainConfig(learning_rate=np.float32(0.5), epochs=np.int64(2), batch_size=np.int64(4),
+                        patience=np.int64(3), seed=np.uint8(1))
+    spec = SynthSpec(n_series=np.int64(3), length=np.int64(20), slope_range=(np.float32(-0.5), np.float32(0.5)),
+                     noise_std=np.float32(0.25), seed=np.int64(4))
+    for obj in (config, train, spec):
+        values = asdict(obj)
+        json.dumps(values)
+        for value in values.values():
+            for item in value if isinstance(value, tuple) else (value,):
+                assert type(item) in (int, bool, float), (type(obj).__name__, item)
 
 
 def test_checkpoint_version_1_loads_and_forecasts_bit_for_bit(tmp_path):
