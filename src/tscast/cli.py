@@ -2,10 +2,11 @@
 cross-validation, forecasting, and the synthetic-data experiments.
 
 Every run writes a ``manifest.json`` into the output directory recording
-the command, the effective configuration, the seeds, sha256 digests of
-the input files, the artifact paths, and wall-clock timings. Re-running
-with the same configuration and seeds reproduces every numeric artifact
-byte for byte (the manifest's timings are the one exception).
+the command, every flag as parsed, the configs the command resolved,
+sha256 digests of its ``--input``, ``--checkpoint`` and ``--config``
+files, the artifact paths, and wall-clock timings. Re-running with the
+same flags reproduces every numeric artifact byte for byte (the
+manifest's timings are the one exception).
 
 Result tables are delimiter-separated text. Schemas:
 
@@ -40,7 +41,8 @@ import numpy as np
 from .metrics import mae_metric
 from .model import STREAMS, ForecasterConfig, load_checkpoint, save_checkpoint
 from .preprocess import SeriesFrame, build_windows, check_integer, invert_normalizer, preprocess_frame
-from .synth import SynthSpec, ablation_run, corpus_to_frame, default_ablation_train_config, generate
+from .synth import SynthSpec, ablation_run, corpus_to_frame, generate
+from .synth import default_ablation_model_config, default_ablation_train_config
 from .train import (
     TrainConfig,
     cross_validate,
@@ -134,22 +136,21 @@ def _sha256(path) -> str:
 
 
 class RunManifest:
-    """A run's record; the output directory is made at its first write."""
+    """A run's record: the command, every flag of ``args``, the configs in
+    ``resolved`` and the digest of each input file. The output directory
+    is made at its first write."""
 
-    def __init__(self, out_dir, command: str, config: dict, seeds: dict):
-        self.out_dir = Path(out_dir)
+    def __init__(self, args, **resolved):
+        self.out_dir = Path(args.out_dir)
+        flags = {dest: value for dest, value in vars(args).items() if dest not in ("fn", "command")}
         self.payload = {
-            "command": command,
-            "config": config,
-            "seeds": seeds,
-            "inputs": {},
+            "command": args.command,
+            "config": {"flags": flags, **resolved},
+            "inputs": {flags[d]: _sha256(flags[d]) for d in ("input", "checkpoint", "config") if flags.get(d)},
             "artifacts": [],
             "timings": {},
         }
         self._t0 = time.time()
-
-    def add_input(self, path) -> None:
-        self.payload["inputs"][str(path)] = _sha256(path)
 
     def add_artifact(self, name: str) -> Path:
         """Register the file ``name`` in the output directory; return its path."""
@@ -168,7 +169,7 @@ class RunManifest:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / "manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True)
+            json.dump(self.payload, fh, indent=2, sort_keys=True, default=asdict)  # the configs are dataclasses
             fh.write("\n")
         return path
 
@@ -208,21 +209,21 @@ def _load_config_file(path) -> dict:
 
 
 def _build_configs(args, n_variables: int) -> tuple[ForecasterConfig, TrainConfig]:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args.config)
     model_kwargs = dict(file_cfg.get("model", {}))
     train_kwargs = dict(file_cfg.get("train", {}))
 
     model_kwargs["v"] = n_variables
-    if getattr(args, "window", None) is not None:
+    if args.window is not None:
         model_kwargs["T"] = args.window
-    if getattr(args, "horizon", None) is not None:
+    if getattr(args, "horizon", None) is not None:  # crossval has no --horizon
         model_kwargs["L"] = args.horizon
-    if getattr(args, "no_ar_shortcut", False):
+    if args.no_ar_shortcut:
         model_kwargs["use_ar_shortcut"] = False
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         model_kwargs["seed"] = args.seed
         train_kwargs["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
+    if args.epochs is not None:
         train_kwargs["epochs"] = args.epochs
     try:
         return ForecasterConfig(**model_kwargs), TrainConfig(**train_kwargs)
@@ -237,10 +238,16 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise CliError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _check_counts(args, **least) -> None:
-    """Check each integer flag, given as ``dest=least``, by its flag name."""
-    for dest, at_least in least.items():
-        check_integer("--" + dest.replace("_", "-"), getattr(args, dest), at_least)
+# the least value of each integer flag, by dest
+COUNT_FLAGS = {"window": 1, "horizon": 1, "epochs": 0, "seed": 0, "stride": 1, "folds": 2, "radius": 0,
+               "steps": 1, "n_series": 1, "length": 8, "eval_steps": 1, "trace_series": 0}
+
+
+def _check_counts(args) -> None:
+    """Check each integer flag that ``args`` holds and sets, by its flag name."""
+    for dest, least in COUNT_FLAGS.items():
+        if getattr(args, dest, None) is not None:
+            check_integer("--" + dest.replace("_", "-"), getattr(args, dest), least)
 
 
 def _ingest(args) -> SeriesFrame:
@@ -257,27 +264,20 @@ def _ingest(args) -> SeriesFrame:
 
 
 def _cmd_ingest_check(args) -> int:
+    _check_counts(args)
     frame = _ingest(args)
     print(f"{args.input}: {frame.length} rows, {frame.n_variables} variables")
     print("variables:", ", ".join(frame.names))
     if args.out_dir is not None:
-        manifest = RunManifest(args.out_dir, "ingest-check", {"rows": frame.length, "variables": frame.names}, {})
-        manifest.add_input(args.input)
-        manifest.finish()
+        RunManifest(args, rows=frame.length, variables=frame.names).finish()
     return 0
 
 
 def _cmd_train(args) -> int:
-    _check_counts(args, stride=1)
+    _check_counts(args)
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
-    manifest = RunManifest(
-        args.out_dir,
-        "train",
-        {"model": asdict(model_config), "train": asdict(train_config), "stride": args.stride},
-        {"model": model_config.seed, "train": train_config.seed},
-    )
-    manifest.add_input(args.input)
+    manifest = RunManifest(args, model=model_config, train=train_config)
 
     processed, _ = preprocess_frame(frame)
     windows = build_windows(processed, model_config.T, model_config.L, args.stride)
@@ -311,12 +311,10 @@ def _load_model(args, frame) -> tuple:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_counts(args, stride=1)
+    _check_counts(args)
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
-    manifest = RunManifest(args.out_dir, "evaluate", {"model": asdict(model_config)}, {"model": model_config.seed})
-    manifest.add_input(args.input)
-    manifest.add_input(args.checkpoint)
+    manifest = RunManifest(args, model=model_config)
 
     processed, _ = preprocess_frame(frame)
     windows = build_windows(processed, model_config.T, model_config.L, args.stride)
@@ -343,29 +341,16 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    _check_counts(args, folds=2, stride=1, radius=0)
-    if "L" in _load_config_file(args.config).get("model", {}):
-        # cross_validate sets L itself: 1, then each of --horizons
-        raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
+    _check_counts(args)
     horizons = tuple(_int_list("--horizons", args.horizons))
     for horizon in horizons:
         check_integer("--horizons", horizon, 1)
     frame = _ingest(args)
     model_config, train_config = _build_configs(args, frame.n_variables)
-    manifest = RunManifest(
-        args.out_dir,
-        "crossval",
-        {
-            "model": asdict(model_config),
-            "train": asdict(train_config),
-            "folds": args.folds,
-            "horizons": list(horizons),
-            "radius": args.radius,
-            "stride": args.stride,
-        },
-        {"model": model_config.seed, "train": train_config.seed},
-    )
-    manifest.add_input(args.input)
+    if model_config.L != 1:
+        # cross_validate sets L itself: 1, then each of --horizons
+        raise CliError(f"{args.config}: crossval does not take model.L; use --horizons")
+    manifest = RunManifest(args, model=model_config, train=train_config)
 
     processed, _ = preprocess_frame(frame)
     report = cross_validate(
@@ -392,12 +377,10 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    _check_counts(args, steps=1)
+    _check_counts(args)
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
-    manifest = RunManifest(args.out_dir, "forecast", {"model": asdict(model_config), "steps": args.steps}, {})
-    manifest.add_input(args.input)
-    manifest.add_input(args.checkpoint)
+    manifest = RunManifest(args, model=model_config)
 
     processed, stats = preprocess_frame(frame)
     pred = sliding_forecast(params, model_config, processed.data, processed.length, args.steps)
@@ -414,9 +397,9 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_synth_gen(args) -> int:
-    _check_counts(args, n_series=1, length=8, seed=0)
+    _check_counts(args)
     spec = SynthSpec(n_series=args.n_series, length=args.length, seed=args.seed)
-    manifest = RunManifest(args.out_dir, "synth-gen", asdict(spec), {"spec": spec.seed})
+    manifest = RunManifest(args, spec=spec)
     frame = corpus_to_frame(generate(spec))
     path = manifest.write_table("corpus.csv", frame.names, frame.data)
     manifest.finish()
@@ -425,17 +408,15 @@ def _cmd_synth_gen(args) -> int:
 
 
 def _cmd_synth_ablate(args) -> int:
+    _check_counts(args)
     seeds = _int_list("--seeds", args.seeds)
     if not seeds or len(set(seeds)) < len(seeds) or min(seeds) < 0:
         raise CliError(f"--seeds takes one or more distinct seeds >= 0, got {args.seeds!r}")
-    _check_counts(args, n_series=1, length=8, eval_steps=1, trace_series=0)
+    window = default_ablation_model_config().T  # each rollout starts after one window
+    if args.eval_steps > args.length - window:
+        raise CliError(f"--eval-steps must be at most --length - {window} = {args.length - window}, got {args.eval_steps}")
     base_spec = SynthSpec(n_series=args.n_series, length=args.length)
-    manifest = RunManifest(
-        args.out_dir,
-        "synth-ablate",
-        {"spec": asdict(base_spec), "eval_steps": args.eval_steps, "seeds": seeds},
-        {"seeds": seeds},
-    )
+    manifest = RunManifest(args, spec=base_spec)
 
     ablation_rows = []
     trace_rows = []
@@ -527,15 +508,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_forecast)
 
     p = sub.add_parser("synth-gen", help="generate the synthetic corpus")
-    p.add_argument("--n-series", type=int, default=80)
-    p.add_argument("--length", type=int, default=120)
+    p.add_argument("--n-series", type=int, default=SynthSpec.n_series)
+    p.add_argument("--length", type=int, default=SynthSpec.length)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=_cmd_synth_gen)
 
     p = sub.add_parser("synth-ablate", help="paired with/without-shortcut experiment")
-    p.add_argument("--n-series", type=int, default=80)
-    p.add_argument("--length", type=int, default=120)
+    p.add_argument("--n-series", type=int, default=SynthSpec.n_series)
+    p.add_argument("--length", type=int, default=SynthSpec.length)
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--eval-steps", type=int, default=20)
     p.add_argument("--trace-series", type=int, default=2, help="held-out series to trace per seed")

@@ -508,6 +508,14 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
          "error: --stride must be an integer >= 1, got 0"),
         (["evaluate", "--input", str(data), "--checkpoint", str(ckpt), "--stride", "0"],
          "error: --stride must be an integer >= 1, got 0"),
+        (["train", "--input", str(data), "--window", "0"], "error: --window must be an integer >= 1, got 0"),
+        (["train", "--input", str(data), "--horizon", "0"], "error: --horizon must be an integer >= 1, got 0"),
+        (["train", "--input", str(data), "--epochs", "-1"], "error: --epochs must be an integer >= 0, got -1"),
+        (["train", "--input", str(data), "--seed", "-2"], "error: --seed must be an integer >= 0, got -2"),
+        (["crossval", "--input", str(data), "--window", "0"], "error: --window must be an integer >= 1, got 0"),
+        (["crossval", "--input", str(data), "--epochs", "-1"], "error: --epochs must be an integer >= 0, got -1"),
+        (["synth-ablate", "--epochs", "-1"], "error: --epochs must be an integer >= 0, got -1"),
+        (["synth-ablate", "--length", "20"], "error: --eval-steps must be at most --length - 16 = 4, got 20"),
     ):
         assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 1
         assert says in capsys.readouterr().err
@@ -556,6 +564,38 @@ def test_manifest_references_inputs_with_digests(tmp_path):
     assert len(manifest["inputs"][str(data)]) == 64  # sha256 hex
     assert manifest["command"] == "train"
     assert "wall_seconds" in manifest["timings"]
+
+
+def test_manifest_records_every_flag_and_input_file(tmp_path):
+    # evaluate --stride and synth-ablate --epochs change the numbers, and
+    # were once left out of the manifest
+    data, ckpt, config = tmp_path / "data.csv", tmp_path / "checkpoint.json", _fast_config(tmp_path)
+    _write_series_csv(data, length=60)
+    model = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
+    save_checkpoint(ckpt, init_forecaster(model), model)
+    for argv in (
+        ["ingest-check", "--input", str(data), "--timestamp-col"],
+        ["train", "--input", str(data), "--config", str(config), "--window", "8", "--horizon", "2", "--seed", "3",
+         "--epochs", "1", "--no-ar-shortcut", "--stride", "2"],
+        ["evaluate", "--input", str(data), "--checkpoint", str(ckpt), "--stride", "7"],
+        ["crossval", "--input", str(data), "--config", str(config), "--window", "8", "--epochs", "1", "--folds", "3",
+         "--horizons", "3", "--radius", "2"],
+        ["forecast", "--input", str(data), "--checkpoint", str(ckpt), "--steps", "2"],
+        ["synth-gen", "--n-series", "2", "--length", "40", "--seed", "5"],
+        ["synth-ablate", "--n-series", "4", "--length", "36", "--seeds", "0", "--eval-steps", "4",
+         "--trace-series", "1", "--epochs", "1"],
+    ):
+        out_dir = tmp_path / argv[0]
+        argv = [*argv, "--out-dir", str(out_dir)]
+        assert run(argv) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        args = vars(build_parser().parse_args(argv))
+        assert manifest["command"] == args.pop("command")
+        del args["fn"]
+        assert manifest["config"]["flags"] == args
+        files = [argv[argv.index(flag) + 1] for flag in ("--input", "--checkpoint", "--config") if flag in argv]
+        assert sorted(manifest["inputs"]) == sorted(files)
+        assert "seeds" not in manifest
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

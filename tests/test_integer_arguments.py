@@ -56,6 +56,7 @@ ENTRY_POINTS = {
     "sliding_forecast-total_steps": ("total_steps", 1, lambda x: sliding_forecast(PARAMS, MODEL, FRAME.data, 20, x)),
     "evaluate_arm": ("eval_steps", 1, lambda x: evaluate_arm(build_windows(FRAME, 8, 1), [FRAME.data], MODEL, TRAIN, x)),
     "ablation_run": ("eval_steps", 1, lambda x: ablation_run(SynthSpec(n_series=6, length=40), MODEL, TRAIN, x)),
+    "tscast train": ("--window", 1, _cli("train", "--input", "series.csv", "--out-dir", "t", "window")),
     "tscast crossval": ("--radius", 0, _cli("crossval", "--input", "series.csv", "--out-dir", "cv", "radius")),
     "tscast synth-ablate": ("--trace-series", 0, _cli("synth-ablate", "--seeds", "0", "--out-dir", "ab", "trace_series")),
 }

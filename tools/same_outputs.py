@@ -5,11 +5,12 @@
 Each argument is a directory that holds the ``tscast`` package (a
 checkout's ``src``). Both trees run the same commands on one generated
 two-variable series, each in its own scratch directory and with BLAS on
-one thread: ``train``, ``forecast``, ``evaluate``, ``crossval --horizons
-3,5``, ``crossval --horizons 1,3,3`` (a listed horizon 1 and a repeated
-horizon), ``synth-ablate --seeds 0,1 --epochs 3``, and ``train`` and
-``evaluate`` of a 64-filter model with ``gru_hidden`` 128 at ``--window
-64``, set by a ``wide.json`` config written beside ``series.csv``, whose
+one thread: ``ingest-check --out-dir``, ``train``, ``forecast``,
+``evaluate``, ``crossval --horizons 3,5``, ``crossval --horizons 1,3,3``
+(a listed horizon 1 and a repeated horizon), ``synth-gen``,
+``synth-ablate --seeds 0,1 --epochs 3``, and ``train`` and ``evaluate``
+of a 64-filter model with ``gru_hidden`` 128 at ``--window 64``, set by
+a ``wide.json`` config written beside ``series.csv``, whose
 ``predict_windows`` chunks are one block of 32 windows. A command that
 fails is recorded with the tail of its stderr, and the remaining commands
 still run. Every file either side wrote is then listed as ``same``,
@@ -35,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 COMMANDS = [
+    ["ingest-check", "--input", "series.csv", "--out-dir", "ingest"],
     ["train", "--input", "series.csv", "--window", "16", "--epochs", "3", "--horizon", "2", "--out-dir", "train"],
     ["forecast", "--input", "series.csv", "--checkpoint", "train/checkpoint.json", "--steps", "10", "--out-dir", "forecast"],
     ["evaluate", "--input", "series.csv", "--checkpoint", "train/checkpoint.json", "--out-dir", "evaluate"],
@@ -42,6 +44,7 @@ COMMANDS = [
      "--out-dir", "crossval"],
     ["crossval", "--input", "series.csv", "--window", "16", "--epochs", "2", "--folds", "3", "--horizons", "1,3,3",
      "--out-dir", "crossval-repeat"],
+    ["synth-gen", "--n-series", "6", "--length", "64", "--seed", "3", "--out-dir", "synth-gen"],
     ["synth-ablate", "--seeds", "0,1", "--epochs", "3", "--out-dir", "ablate"],
     ["train", "--input", "series.csv", "--config", "wide.json", "--window", "64", "--epochs", "1",
      "--out-dir", "train-wide"],
