@@ -50,7 +50,7 @@ print("forecast shape:", prediction.values.shape, "(L steps x v variables)")
 params.heads.w.values[...] = 0.0
 params.heads.b.values[...] = 0.0
 only_shortcut = forecast(window, params, config).values
-shortcut_alone = ar_predict(batch, params.shortcut, config.ar_window).values[:, 0]
+shortcut_alone = ar_predict(batch, params.shortcut).values[:, 0]
 print("heads zeroed -> forecast equals the shortcut:",
       bool(np.array_equal(only_shortcut, shortcut_alone)))
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -67,8 +68,9 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
     """Parse a rectangular numeric text file into a SeriesFrame.
 
     ``header`` reads variable names from the first row; ``timestamp_col``
-    drops the first column (timestamps are not modeled). Any non-numeric
-    or missing cell is an error naming its row and column.
+    drops the first column (timestamps are not modeled). The file is UTF-8
+    text, a byte-order mark allowed. Any non-numeric or missing cell is an
+    error naming its row and column.
     """
     path = Path(path)
     if len(delimiter) != 1:
@@ -79,40 +81,41 @@ def ingest_csv(path, delimiter: str = ",", header: bool = True, timestamp_col: b
     rows: list[list[float]] = []
     width: int | None = None
     skip = int(timestamp_col)  # error messages count the file's columns, the timestamp included
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            row = row[skip:]
-            if names is None and header:
-                names = [cell.strip() for cell in row]
-                for i, name in enumerate(names):
-                    if not name:
-                        raise CliError(f"{path}:{line_no}: column {skip + i + 1} has no name")
-                    if name in names[:i]:
-                        raise CliError(f"{path}:{line_no}: column {skip + i + 1} repeats the name {name!r}")
-                width = len(names)
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise CliError(f"{path}:{line_no}: expected {skip + width} columns, found {skip + len(row)}")
-            parsed = []
-            for col_no, cell in enumerate(row, start=1 + skip):
-                cell = cell.strip()
-                if cell == "":
-                    raise CliError(f"{path}:{line_no}: column {col_no} is missing a value")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CliError(
-                        f"{path}:{line_no}: column {col_no} is not numeric: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise CliError(f"{path}:{line_no}: column {col_no} is not finite: {cell!r}")
-                parsed.append(value)
-            rows.append(parsed)
+    try:  # decoded whole, not as utf-8-sig, so the offset counts a byte-order mark too
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        raise CliError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    for line_no, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        row = row[skip:]
+        if names is None and header:
+            names = [cell.strip() for cell in row]
+            for i, name in enumerate(names):
+                if not name:
+                    raise CliError(f"{path}:{line_no}: column {skip + i + 1} has no name")
+                if name in names[:i]:
+                    raise CliError(f"{path}:{line_no}: column {skip + i + 1} repeats the name {name!r}")
+            width = len(names)
+            continue
+        if width is None:
+            width = len(row)
+        if len(row) != width:
+            raise CliError(f"{path}:{line_no}: expected {skip + width} columns, found {skip + len(row)}")
+        parsed = []
+        for col_no, cell in enumerate(row, start=1 + skip):
+            cell = cell.strip()
+            if cell == "":
+                raise CliError(f"{path}:{line_no}: column {col_no} is missing a value")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise CliError(f"{path}:{line_no}: column {col_no} is not numeric: {cell!r}") from None
+            if not np.isfinite(value):
+                raise CliError(f"{path}:{line_no}: column {col_no} is not finite: {cell!r}")
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise CliError(f"{path}: no data rows")
     if names is None:
@@ -196,7 +199,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise CliError(f"cannot read config {path}: {err}") from None
     if not isinstance(payload, dict):
         raise CliError(f"{path}: config must be a JSON object")
@@ -532,7 +535,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, FloatingPointError) as err:
+    except (CliError, ValueError, FloatingPointError, OSError) as err:  # an OSError names its path
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -323,7 +323,7 @@ def _expand_window(coarse_path, n, m, radius):
 
 
 def dtw_multivariate(pred, target, radius: int | None = None) -> float:
-    """Sum of per-variable DTW costs between two (steps x v) blocks.
+    """Sum of per-variable DTW costs between two 2-d (steps x v) blocks.
 
     ``radius=None`` computes exact DTW per column; an integer uses the
     FastDTW approximation.
@@ -332,20 +332,16 @@ def dtw_multivariate(pred, target, radius: int | None = None) -> float:
         check_integer("radius", radius, 0)
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.ndim == 1:
-        pred = pred[:, None]
-    if target.ndim == 1:
-        target = target[:, None]
-    if pred.shape[1] != target.shape[1]:
-        raise ValueError(f"variable counts differ: {pred.shape} vs {target.shape}")
-    if pred.shape[1] == 0:
-        raise ValueError(f"no variables to compare: shapes {pred.shape} and {target.shape}")
     for block, name in ((pred, "pred"), (target, "target")):
         if block.ndim != 2:
             raise ValueError(f"{name}: expected a (steps x v) block, got shape {block.shape}")
         if block.shape[0] < 1:
             raise ValueError(f"{name}: empty sequence")
         _require_finite(block, name)
+    if pred.shape[1] != target.shape[1]:
+        raise ValueError(f"variable counts differ: {pred.shape} vs {target.shape}")
+    if pred.shape[1] == 0:
+        raise ValueError(f"no variables to compare: shapes {pred.shape} and {target.shape}")
     # each column goes straight to the DP: the blocks are checked above
     total = 0.0
     for a, b in zip(pred.T, target.T):

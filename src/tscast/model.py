@@ -268,11 +268,11 @@ def head_predict(states, heads: HeadParams) -> Tensor:
     return ad.transpose(ad.reshape(flat, (flat.shape[0], heads.L, -1)), (1, 0, 2))
 
 
-def ar_predict(windows, shortcut: ShortcutParams, ar_window: int) -> Tensor:
+def ar_predict(windows, shortcut: ShortcutParams) -> Tensor:
     """Linear forecast of each variable from its last ar_window values.
 
-    The weight matrix (ar_window, L) and bias (L,) are shared across
-    variables. ``windows`` is (B, T, v), giving (L, B, v).
+    The (ar_window, L) weight, which sets ar_window, and the (L,) bias are
+    shared across variables. ``windows`` is (B, T, v), giving (L, B, v).
     """
     if shortcut is None:
         raise ValueError("ar_predict: this model was built without the shortcut")
@@ -280,6 +280,7 @@ def ar_predict(windows, shortcut: ShortcutParams, ar_window: int) -> Tensor:
     if windows.ndim != 3:
         raise ValueError(f"ar_predict: expected windows (B, T, v), got {windows.shape}")
     b, t_len, v = windows.shape
+    ar_window = shortcut.w.shape[0]
     if ar_window > t_len:
         raise ValueError(
             f"ar_window={ar_window} exceeds the available {t_len} input steps"
@@ -291,14 +292,12 @@ def ar_predict(windows, shortcut: ShortcutParams, ar_window: int) -> Tensor:
 
 
 def forecast(window, params: ForecasterParams, config: ForecasterConfig) -> Tensor:
-    """Full model prediction for one input window; returns (L, v).
+    """Full model prediction for one (T, v) input window; returns (L, v).
 
     Computed as :func:`forecast_batch` on a batch of one, so it equals
     that batch's only row bit for bit.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[:, None]
     if window.shape != (config.T, config.v):
         raise ValueError(f"window shape {window.shape} does not match (T={config.T}, v={config.v})")
     return ad.reshape(forecast_batch(window[None], params, config), (config.L, config.v))
@@ -331,7 +330,7 @@ def forecast_batch(windows, params: ForecasterParams, config: ForecasterConfig) 
 
     out = head_predict(states, params.heads)  # (L, B, v)
     if config.use_ar_shortcut:
-        out = out + ar_predict(windows, params.shortcut, config.ar_window)
+        out = out + ar_predict(windows, params.shortcut)
     return out
 
 
@@ -448,7 +447,7 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
             raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")

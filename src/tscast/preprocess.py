@@ -40,19 +40,19 @@ def check_integer(name: str, value, least: int) -> int:
 
 @dataclass
 class SeriesFrame:
-    """A multivariate time series: T_total x v values plus variable names."""
+    """A (length, v) series, v = 1 for a univariate one, plus variable names."""
 
     names: list[str]
     data: np.ndarray
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim == 1:
-            data = data[:, None]
         if data.ndim != 2:
-            raise ValueError(f"SeriesFrame data must be 2-d, got shape {data.shape}")
+            raise ValueError(f"SeriesFrame data must be 2-d (length, v), got shape {data.shape}")
         if data.shape[0] == 0:
             raise ValueError("SeriesFrame data has no rows")
+        if data.shape[1] == 0:
+            raise ValueError("SeriesFrame data has no variables")
         if len(self.names) != data.shape[1]:
             raise ValueError(
                 f"{len(self.names)} variable names for {data.shape[1]} columns"

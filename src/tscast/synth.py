@@ -148,7 +148,6 @@ class AblationArm:
 
 @dataclass
 class AblationResult:
-    seed: int
     eval_steps: int
     arms: dict[str, AblationArm]  # in ARMS order
     traces: list[dict]
@@ -238,4 +237,4 @@ def ablation_run(
         }
         for offset, data in enumerate(held_out)
     ]
-    return AblationResult(seed=spec.seed, eval_steps=eval_steps, arms=arms, traces=traces)
+    return AblationResult(eval_steps=eval_steps, arms=arms, traces=traces)

@@ -126,8 +126,8 @@ class AdamState:
 
 def adam_step(
     params: list[Tensor], grads: list[np.ndarray], state: AdamState, hyper: TrainConfig
-) -> tuple[list[Tensor], AdamState]:
-    """One bias-corrected Adam update, in place on the parameter tensors.
+) -> None:
+    """One bias-corrected Adam update, in place on the parameters and ``state``.
 
     The update is one pass over flat buffers: the gradients are
     concatenated in parameter order, the moments update as whole buffers,
@@ -172,7 +172,6 @@ def adam_step(
     scratch /= g  # ((m / c1) * lr) / (sqrt(v / c2) + EPS)
     for p, (lo, hi) in zip(params, state.spans):
         p.values -= scratch[lo:hi].reshape(p.shape)
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +261,12 @@ def train_model(
     The chronological tail (last 10%, at least one window) is held out for
     validation; training stops early once validation MSE has not improved
     for ``patience`` epochs, and the parameters returned are the best
-    validation snapshot. History records one dict per completed epoch.
+    validation snapshot (the initial ones at 0 epochs). History records
+    one dict per completed epoch.
     """
     if not windows:
         raise ValueError("train_model: need at least one window")
     params = init_forecaster(model_config)
-    if train_config.epochs == 0:
-        return params, []
 
     train_windows, val_windows = validation_split(windows)
     inputs, targets = _stack_windows(train_windows)
@@ -382,10 +380,10 @@ def sliding_forecast(
     start: int,
     total_steps: int,
 ) -> np.ndarray:
-    """Forecast ``total_steps`` values beyond ``start`` by repeatedly
-    predicting L steps from the latest T observations and feeding the
-    predictions back in as context. Only the T values before ``start``
-    are read from the source series, and they must be finite.
+    """Forecast the ``total_steps`` rows beyond ``start`` of a (length, v)
+    ``series`` by repeatedly predicting L steps from the latest T rows and
+    feeding the predictions back in as context. Only the T rows before
+    ``start`` are read from the source series, and they must be finite.
 
     Closed-loop error compounds with every slide, so roll out with a model
     whose horizon L fits the job: a one-step model slid dozens of steps
@@ -395,8 +393,8 @@ def sliding_forecast(
     a ValueError names the step, the value and the bound.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim == 1:
-        series = series[:, None]
+    if series.ndim != 2:
+        raise ValueError(f"sliding_forecast: expected a (length, v) series, got shape {series.shape}")
     check_integer("start", start, 0)
     check_integer("total_steps", total_steps, 1)
     if not config.T <= start <= len(series):

@@ -120,6 +120,15 @@ def test_ingest_missing_file():
         ingest_csv("/nonexistent/nowhere.csv")
 
 
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    # the mark once joined the first name, as "\ufeffa"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+    frame = ingest_csv(path)
+    assert frame.names == ["a", "b"]
+    assert np.array_equal(frame.data, [[1.0, 2.0], [3.0, 4.0]])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -156,6 +165,20 @@ def test_train_then_evaluate_reproduces_validation_loss(tmp_path):
     rows = (eval_dir / "metrics.csv").read_text().strip().splitlines()
     metrics = dict(line.split(",") for line in rows[1:])
     assert float(metrics["val_mse"]) == pytest.approx(manifest["final_val_mse"], rel=1e-12)
+
+
+def test_train_on_one_window_validates_it_with_itself(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_series_csv(data, length=9)  # T + L rows: one window
+    train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
+    assert run(["train", "--input", str(data), "--window", "8", "--epochs", "1", "--out-dir", str(train_dir)]) == 0
+    assert "trained 1 windows" in capsys.readouterr().out
+    manifest = json.loads((train_dir / "manifest.json").read_text())
+    ckpt = str(train_dir / "checkpoint.json")
+    assert run(["evaluate", "--input", str(data), "--checkpoint", ckpt, "--out-dir", str(eval_dir)]) == 0
+    rows = (eval_dir / "metrics.csv").read_text().strip().splitlines()
+    metrics = dict(line.split(",") for line in rows[1:])
+    assert float(metrics["val_mse"]) == float(metrics["mse"]) == pytest.approx(manifest["final_val_mse"], rel=1e-12)
 
 
 def _fast_config(tmp_path):
@@ -489,7 +512,32 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
     _write_series_csv(data)
     config = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
     save_checkpoint(ckpt, init_forecaster(config), config)
+    wide, wide_ckpt = ForecasterConfig(v=2, T=8, n_filters=2, kernel_size=3, gru_hidden=3), inputs / "wide.json"
+    save_checkpoint(wide_ckpt, init_forecaster(wide), wide)
+    files = {
+        "stamps.csv": b"t\n1\n2\n3\n",  # a timestamp column and no variables
+        "header.csv": b"a,b\n",
+        "latin1.csv": b"a,b\n1,\xff\n",
+        "array.json": b"[1, 2]",
+        "latin1.json": b'{"model": {"\xff": 1}}',
+        "latin1.ckpt": b"\xff",
+    }
+    for name, body in files.items():
+        (inputs / name).write_bytes(body)
+    stamps, header, latin1, array, latin1_config, latin1_ckpt = (inputs / name for name in files)
     for argv, says in (
+        (["ingest-check", "--input", str(stamps), "--timestamp-col"],
+         f"error: {stamps}: SeriesFrame data has no variables"),
+        (["ingest-check", "--input", str(inputs)], f"Is a directory: '{inputs}'"),
+        (["ingest-check", "--input", str(header)], f"error: {header}: no data rows"),
+        (["ingest-check", "--input", str(latin1)], f"error: {latin1}: not UTF-8 text (byte 6)"),
+        (["train", "--input", str(data), "--config", str(array)], f"error: {array}: config must be a JSON object"),
+        (["train", "--input", str(data), "--config", str(latin1_config)],
+         f"error: cannot read config {latin1_config}: 'utf-8' codec can't decode byte 0xff"),
+        (["forecast", "--input", str(data), "--checkpoint", str(latin1_ckpt), "--steps", "2"],
+         f"error: {latin1_ckpt}: not a tscast-checkpoint file: 'utf-8' codec can't decode byte 0xff"),
+        (["evaluate", "--input", str(data), "--checkpoint", str(wide_ckpt)],
+         "error: checkpoint expects 2 variables, input has 1"),
         (["synth-ablate", "--eval-steps", "0"], "error: --eval-steps must be an integer >= 1, got 0"),
         (["synth-ablate", "--n-series", "0"], "error: --n-series must be an integer >= 1, got 0"),
         (["synth-ablate", "--length", "3"], "error: --length must be an integer >= 8, got 3"),
@@ -571,10 +619,12 @@ def test_manifest_records_every_flag_and_input_file(tmp_path):
     # were once left out of the manifest
     data, ckpt, config = tmp_path / "data.csv", tmp_path / "checkpoint.json", _fast_config(tmp_path)
     _write_series_csv(data, length=60)
+    stamped = tmp_path / "stamped.csv"  # its first column is dropped as timestamps
+    _write_series_csv(stamped, length=60, v=2)
     model = ForecasterConfig(v=1, T=8, n_filters=2, kernel_size=3, gru_hidden=3)
     save_checkpoint(ckpt, init_forecaster(model), model)
     for argv in (
-        ["ingest-check", "--input", str(data), "--timestamp-col"],
+        ["ingest-check", "--input", str(stamped), "--timestamp-col"],
         ["train", "--input", str(data), "--config", str(config), "--window", "8", "--horizon", "2", "--seed", "3",
          "--epochs", "1", "--no-ar-shortcut", "--stride", "2"],
         ["evaluate", "--input", str(data), "--checkpoint", str(ckpt), "--stride", "7"],
@@ -596,6 +646,15 @@ def test_manifest_records_every_flag_and_input_file(tmp_path):
         files = [argv[argv.index(flag) + 1] for flag in ("--input", "--checkpoint", "--config") if flag in argv]
         assert sorted(manifest["inputs"]) == sorted(files)
         assert "seeds" not in manifest
+
+
+def test_an_os_error_prints_one_error_line_naming_the_path(tmp_path, capsys):
+    # the OSError from making an output directory under a file was a traceback
+    afile = tmp_path / "afile"
+    afile.touch()
+    assert run(["synth-gen", "--out-dir", str(afile / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Not a directory: '{afile / 'sub'}'" in err and err.count("\n") == 1
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

@@ -439,7 +439,14 @@ def test_multivariate_names_the_non_finite_block():
         dtw_multivariate(p, t, radius=1)
 
 
+@pytest.mark.parametrize("one_d", ["pred", "target"])
+def test_multivariate_rejects_a_1d_block(one_d):
+    blocks = {"pred": np.zeros((3, 1)), "target": np.zeros((3, 1)), one_d: np.zeros(3)}
+    with pytest.raises(ValueError, match=rf"^{one_d}: expected a \(steps x v\) block, got shape \(3,\)$"):
+        dtw_multivariate(blocks["pred"], blocks["target"])
+
+
 def test_multivariate_univariate_input():
     p = np.array([1.0, 2.0, 3.0])
     t = np.array([2.0, 3.0, 4.0])
-    assert dtw_multivariate(p, t) == pytest.approx(dtw_exact(p, t), abs=1e-12)
+    assert dtw_multivariate(p[:, None], t[:, None]) == pytest.approx(dtw_exact(p, t), abs=1e-12)

@@ -421,7 +421,7 @@ def test_ar_predict_persistence_weights():
     params.shortcut.w.values[...] = np.array([[0.0], [0.0], [0.0], [0.0], [1.0]])
     params.shortcut.b.values[...] = 0.0
     window = np.arange(1.0, 9.0)[None, :, None]
-    out = ar_predict(window, params.shortcut, 5)
+    out = ar_predict(window, params.shortcut)
     assert np.array_equal(out.values, [[[8.0]]])
 
 
@@ -430,7 +430,7 @@ def test_ar_predict_linear_extrapolation():
     params.shortcut.w.values[...] = np.array([[0.0], [0.0], [0.0], [-1.0], [2.0]])
     params.shortcut.b.values[...] = 0.0
     window = np.concatenate([np.zeros(3), np.array([1.0, 2.0, 3.0, 4.0, 5.0])])[None, :, None]
-    out = ar_predict(window, params.shortcut, 5)
+    out = ar_predict(window, params.shortcut)
     assert np.array_equal(out.values, [[[6.0]]])  # 2*5 - 4
 
 
@@ -441,21 +441,21 @@ def test_ar_predict_weight_sharing_across_variables():
     params.shortcut.b.values[...] = rng.normal(size=3)
     col = rng.normal(size=8)
     window = np.stack([col, col], axis=1)[None]
-    out = ar_predict(window, params.shortcut, 5).values
+    out = ar_predict(window, params.shortcut).values
     assert np.array_equal(out[:, 0, 0], out[:, 0, 1])
 
 
 def test_ar_predict_rejects_short_window():
     params = init_forecaster(ForecasterConfig(v=1, T=8, L=1, n_filters=2, kernel_size=3, gru_hidden=2))
     with pytest.raises(ValueError):
-        ar_predict(np.arange(4.0)[None, :, None], params.shortcut, 5)
+        ar_predict(np.arange(4.0)[None, :, None], params.shortcut)
 
 
 @pytest.mark.parametrize("shape", [(8,), (8, 2)])
 def test_ar_predict_rejects_unbatched_window(shape):
     params = init_forecaster(TINY)
     with pytest.raises(ValueError, match=r"\(B, T, v\)"):
-        ar_predict(np.zeros(shape), params.shortcut, TINY.ar_window)
+        ar_predict(np.zeros(shape), params.shortcut)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def test_forecast_zero_heads_equals_ar_path():
     params.heads.b.values[...] = 0.0
     window = np.random.default_rng(12).normal(size=(8, 2))
     pred = forecast(window, params, TINY).values
-    ar = ar_predict(window[None], params.shortcut, TINY.ar_window).values[:, 0]
+    ar = ar_predict(window[None], params.shortcut).values[:, 0]
     assert np.allclose(pred, ar, atol=1e-14)
 
 
@@ -506,6 +506,13 @@ def test_forecast_batch_matches_single():
     for i in range(5):
         single = forecast(windows[i], params, TINY).values
         assert np.allclose(batched[:, i, :], single, atol=1e-10)
+
+
+def test_forecast_rejects_a_1d_window():
+    config = replace(TINY, v=1)
+    params = init_forecaster(config)
+    with pytest.raises(ValueError, match=r"window shape \(8,\) does not match \(T=8, v=1\)"):
+        forecast(np.zeros(8), params, config)
 
 
 def test_forecast_batch_rejects_an_empty_batch():
@@ -550,10 +557,10 @@ def test_batched_head_and_ar_equal_per_window_calls():
         assert np.max(np.abs(all_steps[:, i] - one[:, 0])) <= 1e-12
 
     windows = rng.normal(size=(6, 8, 2))
-    ar = ar_predict(windows, params.shortcut, TINY.ar_window).values  # (L, B, v)
+    ar = ar_predict(windows, params.shortcut).values  # (L, B, v)
     assert ar.shape == (TINY.L, 6, TINY.v)
     for i in range(6):
-        one = ar_predict(windows[i : i + 1], params.shortcut, TINY.ar_window).values
+        one = ar_predict(windows[i : i + 1], params.shortcut).values
         assert np.max(np.abs(ar[:, i] - one[:, 0])) <= 1e-12
 
 
@@ -742,7 +749,7 @@ def test_checkpoint_version_1_loads_and_forecasts_bit_for_bit(tmp_path):
     reference = json.loads((DATA / "checkpoint_v1_forecast.json").read_text())
     assert v1["version"] == 1
     params, config = load_checkpoint(DATA / "checkpoint_v1.json")
-    pred = forecast(np.array(reference["window"]), params, config).values
+    pred = forecast(np.reshape(reference["window"], (config.T, config.v)), params, config).values
     assert pred.reshape(-1).tolist() == reference["forecast"]
     for stream in ("full", "half", "quarter"):
         gru = getattr(params, stream).gru
@@ -812,6 +819,23 @@ def test_checkpoint_entry_that_does_not_load_names_file_entry_count_and_shape(tm
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
     assert str(exc.value) == f"{path}: entry {named}"
+
+
+@pytest.mark.parametrize("tamper, says", [
+    (lambda payload: payload.update(version=9), "unsupported checkpoint version 9"),
+    (lambda payload: payload["params"].update({"full.gru.c": payload["params"].pop("full.gru.b")}),
+     "checkpoint parameter names do not match the config"),
+    (lambda payload: payload["params"]["full.gru.b"].update(shape=[3, 4]), "shape mismatch for full.gru.b"),
+], ids=["version", "names", "shape"])
+def test_checkpoint_that_does_not_fit_its_config_names_the_file(tmp_path, tamper, says):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_forecaster(TINY), TINY)
+    payload = json.loads(path.read_text())
+    tamper(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {says}"
 
 
 def test_checkpoint_with_a_shortcut_flag_that_is_not_a_bool_names_the_file(tmp_path):

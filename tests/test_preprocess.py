@@ -294,3 +294,12 @@ def test_series_frame_rejects_nonfinite():
 def test_series_frame_rejects_zero_rows():
     with pytest.raises(ValueError, match="no rows"):
         SeriesFrame(["y"], np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("names, data, says", [
+    (["y"], np.zeros(5), r"must be 2-d \(length, v\), got shape \(5,\)"),  # a univariate series is (length, 1)
+    ([], np.zeros((5, 0)), "no variables"),
+], ids=["1d", "no-variables"])
+def test_series_frame_rejects_a_1d_series_and_zero_variables(names, data, says):
+    with pytest.raises(ValueError, match=says):
+        SeriesFrame(names, data)

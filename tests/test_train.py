@@ -558,6 +558,13 @@ def test_sliding_forecast_rejects_a_series_shorter_than_the_window():
         sliding_forecast(params, config, np.zeros((5, 1)), start=8, total_steps=3)
 
 
+def test_sliding_forecast_rejects_a_1d_series():
+    config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
+    params = init_forecaster(config)
+    with pytest.raises(ValueError, match=r"expected a \(length, v\) series, got shape \(30,\)"):
+        sliding_forecast(params, config, np.zeros(30), start=16, total_steps=3)
+
+
 def test_sliding_forecast_rejects_a_non_finite_context():
     config = ForecasterConfig(v=1, T=8, L=1, seed=2, **TINY_MODEL)
     params = init_forecaster(config)
