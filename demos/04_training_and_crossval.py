@@ -31,9 +31,9 @@ print(f"24-step sliding forecast MSE: {np.mean((path - truth) ** 2):.4f}")
 # and DTW at a 5-step horizon (a separate model with 5 heads per fold).
 # The last fold tests the series' end, past the trend range seen in
 # training - expect it to be the hard one.
-report = cross_validate(
+metrics = cross_validate(
     frame, model_config, TrainConfig(epochs=15, seed=4), k=5, horizons=(5,), stride=2
 )
-for name in report.metric_names():
-    print(f"{name:10s} {report.mean(name):.4f} +/- {report.std(name):.4f}   folds:",
-          [f"{x:.4f}" for x in report.metrics[name]])
+for name, folds in metrics.items():
+    print(f"{name:10s} {np.mean(folds):.4f} +/- {np.std(folds, ddof=1):.4f}   folds:",
+          [f"{x:.4f}" for x in folds])

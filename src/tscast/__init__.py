@@ -45,7 +45,6 @@ from .preprocess import (
 )
 from .synth import SynthSpec, ablation_run, generate
 from .train import (
-    EvalReport,
     TrainConfig,
     cross_validate,
     mse_loss,
@@ -56,7 +55,6 @@ from .train import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalReport",
     "ForecastWindow",
     "ForecasterConfig",
     "ForecasterParams",

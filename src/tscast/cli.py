@@ -356,7 +356,7 @@ def _cmd_crossval(args) -> int:
     manifest = RunManifest(args, model=model_config, train=train_config)
 
     processed, _ = preprocess_frame(frame)
-    report = cross_validate(
+    metrics = cross_validate(
         processed,
         model_config,
         train_config,
@@ -366,15 +366,15 @@ def _cmd_crossval(args) -> int:
         dtw_radius=args.radius,
     )
 
-    names = report.metric_names()
-    rows = [[str(fold)] + [report.metrics[m][fold] for m in names] for fold in range(report.folds)]
-    rows.append(["mean"] + [report.mean(m) for m in names])
-    rows.append(["std"] + [report.std(m) for m in names])
-    metrics_path = manifest.write_table("metrics.csv", ["fold"] + names, rows)
+    names = list(metrics)
+    mean = [float(np.mean(metrics[m])) for m in names]
+    std = [float(np.std(metrics[m], ddof=1)) for m in names]  # sample std; k >= 2 folds
+    rows = [[str(fold)] + [metrics[m][fold] for m in names] for fold in range(args.folds)]
+    metrics_path = manifest.write_table("metrics.csv", ["fold"] + names, rows + [["mean", *mean], ["std", *std]])
     manifest.finish()
 
-    for m in names:
-        print(f"{m}: {report.mean(m):.6g} +/- {report.std(m):.6g}")
+    for m, mu, sd in zip(names, mean, std):
+        print(f"{m}: {mu:.6g} +/- {sd:.6g}")
     print(f"table: {metrics_path}")
     return 0
 

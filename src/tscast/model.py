@@ -356,8 +356,8 @@ def ridge_fit(X, y, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         y = y[:, None]
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"ridge_fit: {X.shape[0]} rows of X vs {y.shape[0]} of y")
-    if lam < 0:
-        raise ValueError(f"ridge_fit: lam must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"ridge_fit: lam must be a finite number >= 0, got {lam}")
 
     x_mean = X.mean(axis=0)
     y_mean = y.mean(axis=0)
@@ -437,6 +437,8 @@ def _stored_array(path, name: str, entry) -> np.ndarray:
         raise ValueError(
             f"{path}: entry {name!r} ({count} values, shape {shape}) holds a value that is not a number"
         ) from None
+    if not np.isfinite(values).all():  # json reads NaN, Infinity and -Infinity
+        raise ValueError(f"{path}: entry {name!r} ({count} values, shape {shape}) holds a value that is not finite")
     try:
         return values.reshape(shape)
     except (TypeError, ValueError):
@@ -452,14 +454,17 @@ def load_checkpoint(path) -> tuple[ForecasterParams, ForecasterConfig]:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = payload.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # a bool is no version, though True == 1
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     try:
         config = ForecasterConfig(**_field(path, payload, "config"))
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: invalid config: {err}") from None
     params = init_forecaster(config)
-    stored = {name: _stored_array(path, name, entry) for name, entry in _field(path, payload, "params").items()}
+    raw = _field(path, payload, "params")
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: checkpoint 'params' is not a JSON object")
+    stored = {name: _stored_array(path, name, entry) for name, entry in raw.items()}
     if version == 1:  # stack each stream's per-gate arrays, e.g. full.gru.w_{z,r,h} -> full.gru.w
         for stream_name, _ in STREAMS:
             for kind in ("w", "u", "b"):

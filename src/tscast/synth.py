@@ -54,13 +54,15 @@ class SynthSpec:
             setattr(self, name, check_integer(name, getattr(self, name), least))
         for name in ("slope_range", "period_range", "amplitude_range"):
             lo, hi = getattr(self, name)
+            if not np.isfinite([lo, hi]).all():
+                raise ValueError(f"{name} must have finite ends, got ({lo}, {hi})")
             if not lo <= hi:
                 raise ValueError(f"{name} is not well ordered: ({lo}, {hi})")
             setattr(self, name, (float(lo), float(hi)))
         if self.period_range[0] <= 0:
             raise ValueError("periods must be positive")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std}")
         self.noise_std = float(self.noise_std)
 
 

@@ -21,7 +21,6 @@ from .preprocess import ForecastWindow, SeriesFrame, blocked_kfold, build_window
 
 __all__ = [
     "AdamState",
-    "EvalReport",
     "TrainConfig",
     "adam_step",
     "cross_validate",
@@ -66,27 +65,6 @@ class TrainConfig:
         self.learning_rate = float(lr)
         for name, least in (("epochs", 0), ("batch_size", 1), ("patience", 1), ("seed", 0)):
             setattr(self, name, check_integer(f"config field {name}", getattr(self, name), least))
-
-
-@dataclass
-class EvalReport:
-    """Per-fold metric values with mean / sample-std aggregates."""
-
-    variables: list[str]
-    folds: int
-    metrics: dict[str, list[float]]
-
-    def mean(self, name: str) -> float:
-        return float(np.mean(self.metrics[name]))
-
-    def std(self, name: str) -> float:
-        values = self.metrics[name]
-        if len(values) < 2:
-            return 0.0
-        return float(np.std(values, ddof=1))
-
-    def metric_names(self) -> list[str]:
-        return list(self.metrics)
 
 
 def mse_loss(pred, target) -> Tensor:
@@ -333,7 +311,7 @@ def cross_validate(
     horizons: tuple[int, ...] = (),
     stride: int = 1,
     dtw_radius: int = 1,
-) -> EvalReport:
+) -> dict[str, list[float]]:
     """k-fold evaluation with contiguous test blocks.
 
     Per fold, a fresh model is trained on the train windows and scored on
@@ -343,6 +321,9 @@ def cross_validate(
     horizon, 1 included, trains one model per fold, seeded with
     ``model_config.seed + fold``. A bad ``dtw_radius``, horizon or ``k`` is
     rejected before any training.
+
+    Returns metric name -> one value per fold: ``mse``, ``mae``, then
+    ``dtw_<h>step`` for each of ``horizons``, the CLI table's column order.
     """
     check_integer("radius", dtw_radius, 0)
     for horizon in horizons:
@@ -370,7 +351,7 @@ def cross_validate(
                     cost += dtw_multivariate(pred, window.target, radius=dtw_radius)
                 metrics[f"dtw_{horizon}step"].append(cost / len(fold_test))
 
-    return EvalReport(variables=list(frame.names), folds=k, metrics=metrics)
+    return metrics
 
 
 def sliding_forecast(

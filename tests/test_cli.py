@@ -209,8 +209,12 @@ def test_crossval_table_layout_and_determinism(tmp_path):
     lines = outputs[0].decode().strip().splitlines()
     assert lines[0] == "fold,mse,mae,dtw_3step"
     assert len(lines) == 1 + 3 + 2  # header, folds, mean, std
-    assert lines[-2].startswith("mean,")
-    assert lines[-1].startswith("std,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "mean", "std"]
+    # each cell is written as repr(float), so it parses back to the same bits
+    columns = [[float(row[j]) for row in rows[:3]] for j in range(1, 4)]
+    assert [float(x) for x in rows[3][1:]] == [np.mean(c) for c in columns]
+    assert [float(x) for x in rows[4][1:]] == [np.std(c, ddof=1) for c in columns]
 
 
 def test_forecast_command_long_format(tmp_path):
@@ -521,10 +525,11 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
         "array.json": b"[1, 2]",
         "latin1.json": b'{"model": {"\xff": 1}}',
         "latin1.ckpt": b"\xff",
+        "listed.ckpt": json.dumps({**json.loads(ckpt.read_text()), "params": []}).encode(),
     }
     for name, body in files.items():
         (inputs / name).write_bytes(body)
-    stamps, header, latin1, array, latin1_config, latin1_ckpt = (inputs / name for name in files)
+    stamps, header, latin1, array, latin1_config, latin1_ckpt, listed_ckpt = (inputs / name for name in files)
     for argv, says in (
         (["ingest-check", "--input", str(stamps), "--timestamp-col"],
          f"error: {stamps}: SeriesFrame data has no variables"),
@@ -538,6 +543,8 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
          f"error: {latin1_ckpt}: not a tscast-checkpoint file: 'utf-8' codec can't decode byte 0xff"),
         (["evaluate", "--input", str(data), "--checkpoint", str(wide_ckpt)],
          "error: checkpoint expects 2 variables, input has 1"),
+        (["evaluate", "--input", str(data), "--checkpoint", str(listed_ckpt)],
+         f"error: {listed_ckpt}: checkpoint 'params' is not a JSON object"),
         (["synth-ablate", "--eval-steps", "0"], "error: --eval-steps must be an integer >= 1, got 0"),
         (["synth-ablate", "--n-series", "0"], "error: --n-series must be an integer >= 1, got 0"),
         (["synth-ablate", "--length", "3"], "error: --length must be an integer >= 8, got 3"),

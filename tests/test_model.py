@@ -684,6 +684,13 @@ def test_ridge_singular_without_regularization():
         ridge_fit(X, y, lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_ridge_rejects_a_lam_that_is_not_finite_and_non_negative(lam):
+    X = np.arange(8.0).reshape(4, 2) ** 2
+    with pytest.raises(ValueError, match=r"^ridge_fit: lam must be a finite number >= 0, got"):
+        ridge_fit(X, np.arange(4.0), lam=lam)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ridge_rejects_non_finite_input(bad):
     X = np.arange(8.0).reshape(4, 2) ** 2
@@ -808,6 +815,8 @@ def test_checkpoint_missing_key_names_file_and_key(tmp_path, drop, named):
 @pytest.mark.parametrize("field, value, named", [
     ("shape", [5], "'full.gru.b' has 12 values, which do not fit shape [5]"),
     ("data", ["x"] * 12, "'full.gru.b' (12 values, shape [12]) holds a value that is not a number"),
+    ("data", [0.0] * 11 + [float("nan")], "'full.gru.b' (12 values, shape [12]) holds a value that is not finite"),
+    ("data", [float("-inf")] + [0.0] * 11, "'full.gru.b' (12 values, shape [12]) holds a value that is not finite"),
 ])
 def test_checkpoint_entry_that_does_not_load_names_file_entry_count_and_shape(tmp_path, field, value, named):
     path = tmp_path / "model.ckpt"
@@ -826,7 +835,9 @@ def test_checkpoint_entry_that_does_not_load_names_file_entry_count_and_shape(tm
     (lambda payload: payload["params"].update({"full.gru.c": payload["params"].pop("full.gru.b")}),
      "checkpoint parameter names do not match the config"),
     (lambda payload: payload["params"]["full.gru.b"].update(shape=[3, 4]), "shape mismatch for full.gru.b"),
-], ids=["version", "names", "shape"])
+    (lambda payload: payload.update(params=list(payload["params"].values())), "checkpoint 'params' is not a JSON object"),
+    (lambda payload: payload.update(version=True), "unsupported checkpoint version True"),
+], ids=["version", "names", "shape", "params-list", "version-true"])
 def test_checkpoint_that_does_not_fit_its_config_names_the_file(tmp_path, tamper, says):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_forecaster(TINY), TINY)

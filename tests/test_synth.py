@@ -73,6 +73,13 @@ def test_spec_validation():
         SynthSpec(noise_std=-1.0)
     with pytest.raises(ValueError):
         SynthSpec(period_range=(0.0, 8.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^noise_std must be a finite number >= 0"):
+            SynthSpec(noise_std=bad)
+    for name in ("slope_range", "period_range", "amplitude_range"):
+        for ends in ((np.inf, np.inf), (-np.inf, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match=f"^{name} must have finite ends"):
+                SynthSpec(**{name: ends})
 
 
 def test_corpus_to_frame():
