@@ -216,6 +216,8 @@ def _build_configs(args, n_variables: int) -> tuple[ForecasterConfig, TrainConfi
     model_kwargs = dict(file_cfg.get("model", {}))
     train_kwargs = dict(file_cfg.get("train", {}))
 
+    if model_kwargs.get("v", n_variables) != n_variables:
+        raise CliError(f"{args.config}: model.v is {model_kwargs['v']}, but the input has {n_variables} variable(s)")
     model_kwargs["v"] = n_variables
     if args.window is not None:
         model_kwargs["T"] = args.window
@@ -535,7 +537,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, FloatingPointError, OSError) as err:  # an OSError names its path
+    # an OSError names its path; a MemoryError the allocation it could not make
+    except (CliError, ValueError, FloatingPointError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

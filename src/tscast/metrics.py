@@ -10,26 +10,28 @@ band of the given radius, per the usual multilevel scheme. Its cost is
 never below the exact cost, and equals it once the radius covers the
 whole alignment matrix.
 
-One DP contract, ``_dtw_window``, serves every DTW. Its window is a
-column range lo[i] <= j <= hi[i] per row i: the whole matrix for exact
-DTW, the projected band for a FastDTW level. It runs one of two sweeps,
-chosen by the window's cells per anti-diagonal:
+One entry into the DP, ``_fastdtw``, serves every DTW: exact DTW is
+FastDTW at an unbounded radius (``None``). Its window is a column range
+lo[i] <= j <= hi[i] per row i: the whole matrix for exact DTW and the
+FastDTW base case, the projected band for a finer FastDTW level. It runs
+one of two sweeps:
 
-- more than ``ROW_SWEEP_CELLS``: ``_dtw_diagonals`` sweeps the
-  anti-diagonals d = i + j, a few numpy operations per diagonal (about
-  4 us each, whatever its length);
-- otherwise ``_dtw_rows`` sweeps the rows over Python floats, about
-  0.15-0.25 us a cell with no numpy call per row.
+- a cost alone over more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal:
+  ``_dtw_diagonals`` sweeps the anti-diagonals d = i + j, a few numpy
+  operations per diagonal (about 4 us each, whatever its length);
+- everything else, every warp path included: ``_dtw_rows`` sweeps the
+  rows over Python floats, about 0.15-0.25 us a cell with no numpy call
+  per row, and traces the path back over the rows it kept.
 
 The two cost the same at 15-24 cells per diagonal on a 2-core Xeon VM
 (two measurements; 16 is at the low end, where the rows are never the
-slower sweep). So 100-point exact pairs take the diagonals, and 20-point
-pairs and FastDTW bands of small radius the rows. Both keep only the
-window's cells, so a FastDTW band takes memory linear in the length. Each
-cell is |a_i - b_j| + min(D(i-1, j-1), D(i-1, j), D(i, j-1)) in float64;
-min is exact and the one addition rounds the same way in any sweep order,
-so both give the costs of a cell-by-cell loop bit for bit, and their warp
-paths, traced back over the stored costs with the same tie order, too.
+slower sweep). So 100-point exact costs take the diagonals, and 20-point
+pairs, FastDTW bands of small radius and every path the rows. Both keep
+only the window's cells, so a FastDTW band takes memory linear in the
+length. Each cell is |a_i - b_j| + min(D(i-1, j-1), D(i-1, j), D(i, j-1))
+in float64; min is exact and the one addition rounds the same way in any
+sweep order, so both give the costs of a cell-by-cell loop bit for bit,
+and the row sweep its warp paths too.
 
 Multivariate inputs are warped per variable and the costs summed.
 Sequences must be non-empty and finite; a NaN or infinity is rejected
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 BRUTEFORCE_LIMIT = 7
-ROW_SWEEP_CELLS = 16  # window cells per anti-diagonal up to which _dtw_window sweeps rows
+ROW_SWEEP_CELLS = 16  # window cells per anti-diagonal up to which a cost alone sweeps rows
 
 
 def mae_metric(pred, target) -> float:
@@ -89,8 +91,7 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 def dtw_exact(a, b) -> float:
     """Exact DTW cost, O(n*m) time."""
     a, b = _as_sequence(a, "a"), _as_sequence(b, "b")
-    cost, _ = _dtw_window(a, b, 0, b.size - 1, with_path=False)
-    return cost
+    return _fastdtw(a, b, None, with_path=False)[0]
 
 
 def dtw_exact_path(a, b):
@@ -102,32 +103,12 @@ def dtw_exact_path(a, b):
     (i-1, j-1), then (i-1, j), then (i, j-1).
     """
     a, b = _as_sequence(a, "a"), _as_sequence(b, "b")
-    return _dtw_window(a, b, 0, b.size - 1, with_path=True)
+    return _fastdtw(a, b, None, with_path=True)
 
 
-def _dtw_window(a, b, lo, hi, with_path: bool):
-    """DP over the cells lo[i] <= j <= hi[i] of each row i; the rest are
-    unreachable. ``lo`` and ``hi`` are non-decreasing per-row lists of
-    ints (or ints, for the same range in every row), lo[0] = 0 and
-    hi[-1] = m - 1. Returns the cost and, if asked, the warp path.
-
-    A window of more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal runs
-    the numpy diagonal sweep, a narrower one the row sweep over Python
-    floats; both give the same bits.
-    """
-    n, m = a.size, b.size
-    if isinstance(lo, int):
-        cells = n * (hi - lo + 1)
-    else:
-        cells = sum(hi) - sum(lo) + n
-    if cells > ROW_SWEEP_CELLS * (n + m - 1):
-        return _dtw_diagonals(a, b, lo, hi, with_path)
-    return _dtw_rows(a, b, lo, hi, with_path)
-
-
-def _dtw_diagonals(a, b, lo, hi, with_path: bool):
-    """``_dtw_window`` one anti-diagonal at a time, a few numpy operations
-    over each diagonal's cells.
+def _dtw_diagonals(a, b, lo, hi) -> float:
+    """The DTW cost over the window lo[i] <= j <= hi[i], one anti-diagonal
+    at a time, a few numpy operations over each diagonal's cells.
 
     A cell of anti-diagonal d = i + j depends only on diagonals d - 1 and
     d - 2. Because lo and hi are non-decreasing, the window's cells on
@@ -157,30 +138,23 @@ def _dtw_diagonals(a, b, lo, hi, with_path: bool):
         cells = acc[here + 1 + s : here + 1 + s + c]
         cells += np.minimum(np.minimum(acc[q : q + c], acc[p : p + c]), acc[p + 1 : p + 1 + c])
 
-    cost = _finite_cost(float(acc[at[-1] + n]), n, m)
-    if not with_path:
-        return cost, None
-
-    def predecessors(i, j):
-        prev, prev2 = at[i + j], at[i + j - 1]
-        return acc[prev2 + i], acc[prev + i], acc[prev + i + 1]
-
-    return cost, _trace(n, m, predecessors)
+    return _finite_cost(float(acc[at[-1] + n]), n, m)
 
 
 def _dtw_rows(a, b, lo, hi, with_path: bool):
-    """``_dtw_window`` one row at a time over Python floats.
+    """The DTW cost over the window lo[i] <= j <= hi[i], and if asked its
+    warp path, one row at a time over Python floats.
 
     Row i is a list over columns lo[i] - 1 .. hi[i], the first inf. It is
     computed from ``up``, row i - 1's costs over the same columns, inf
     outside row i - 1's window. Row -1 is [0.0], its one cell (-1, -1)
     at cost 0, so cell (0, 0) adds its local cost to 0 exactly. Without a
-    path only the previous row is kept.
+    path only the previous row is kept; with one, every (up, row) pair is,
+    and the path is traced back over them from (n-1, m-1), taking among
+    equal-cost predecessors (i-1, j-1), then (i-1, j), then (i, j-1).
     """
     n, m = a.size, b.size
     a, b = a.tolist(), b.tolist()
-    if isinstance(lo, int):
-        lo, hi = [lo] * n, [hi] * n
     inf = math.inf
     kept = []
     prev, prev_j0 = [0.0], 0
@@ -204,29 +178,12 @@ def _dtw_rows(a, b, lo, hi, with_path: bool):
     cost = _finite_cost(prev[-1], n, m)
     if not with_path:
         return cost, None
-
-    def predecessors(i, j):
-        k = j - lo[i]
-        up, row = kept[i]
-        return up[k], up[k + 1], row[k]
-
-    return cost, _trace(n, m, predecessors)
-
-
-def _finite_cost(cost: float, n: int, m: int) -> float:
-    if not math.isfinite(cost):
-        raise FloatingPointError(f"DTW cost of a {n} by {m} pair is not finite (float64 overflow)")
-    return cost
-
-
-def _trace(n, m, predecessors):
-    """Warp path back from (n-1, m-1). ``predecessors(i, j)`` gives the
-    costs of cells (i-1, j-1), (i-1, j) and (i, j-1), inf outside the
-    window; among equal ones the path takes them in that order."""
     i, j = n - 1, m - 1
     path = [(i, j)]
     while i or j:
-        c_diag, c_up, c_left = predecessors(i, j)
+        up, row = kept[i]
+        k = j - lo[i]
+        c_diag, c_up, c_left = up[k], up[k + 1], row[k]
         if c_left < c_up and c_left < c_diag:
             j -= 1
         elif c_up < c_diag:
@@ -235,7 +192,13 @@ def _trace(n, m, predecessors):
             i, j = i - 1, j - 1
         path.append((i, j))
     path.reverse()
-    return path
+    return cost, path
+
+
+def _finite_cost(cost: float, n: int, m: int) -> float:
+    if not math.isfinite(cost):
+        raise FloatingPointError(f"DTW cost of a {n} by {m} pair is not finite (float64 overflow)")
+    return cost
 
 
 def dtw_bruteforce(a, b) -> float:
@@ -269,18 +232,29 @@ def fastdtw(a, b, radius: int = 1) -> float:
     """Multilevel DTW approximation with refinement radius ``radius``."""
     check_integer("radius", radius, 0)
     a, b = _as_sequence(a, "a"), _as_sequence(b, "b")
-    cost, _ = _fastdtw(a, b, radius, with_path=False)
-    return cost
+    return _fastdtw(a, b, radius, with_path=False)[0]
 
 
 def _fastdtw(a, b, radius, with_path):
-    min_size = radius + 2
-    if a.size <= min_size or b.size <= min_size:
-        window = 0, b.size - 1
+    """The one entry into the DP: DTW cost and, if asked, warp path of the
+    checked sequences ``a`` and ``b`` at FastDTW radius ``radius``, where
+    ``None`` means the whole matrix (exact DTW).
+
+    The window is the column range lo[i] <= j <= hi[i] of each row i: the
+    whole matrix at the base case, else the coarse path projected up. A
+    cost alone over more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal
+    runs the numpy diagonal sweep; everything else, every path included,
+    the row sweep over Python floats. Both give the same bits.
+    """
+    n, m = a.size, b.size
+    if radius is None or n <= radius + 2 or m <= radius + 2:
+        lo, hi = [0] * n, [m - 1] * n
     else:
         _, coarse_path = _fastdtw(_halve(a), _halve(b), radius, with_path=True)
-        window = _expand_window(coarse_path, a.size, b.size, radius)
-    return _dtw_window(a, b, *window, with_path=with_path)
+        lo, hi = _expand_window(coarse_path, n, m, radius)
+    if not with_path and sum(hi) - sum(lo) + n > ROW_SWEEP_CELLS * (n + m - 1):
+        return _dtw_diagonals(a, b, lo, hi), None
+    return _dtw_rows(a, b, lo, hi, with_path)
 
 
 def _halve(x: np.ndarray) -> np.ndarray:
@@ -345,8 +319,5 @@ def dtw_multivariate(pred, target, radius: int | None = None) -> float:
     # each column goes straight to the DP: the blocks are checked above
     total = 0.0
     for a, b in zip(pred.T, target.T):
-        if radius is None:
-            total += _dtw_window(a, b, 0, b.size - 1, with_path=False)[0]
-        else:
-            total += _fastdtw(a, b, radius, with_path=False)[0]
+        total += _fastdtw(a, b, radius, with_path=False)[0]
     return total

@@ -348,6 +348,8 @@ def ridge_fit(X, y, lam: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"ridge_fit: X must be 2-d, got shape {X.shape}")
+    if X.shape[0] < 1:
+        raise ValueError(f"ridge_fit: X has no rows, got shape {X.shape}")
     for name, a in (("X", X), ("y", y)):
         if not np.isfinite(a).all():
             raise ValueError(f"ridge_fit: {name} must not contain infs or NaNs")

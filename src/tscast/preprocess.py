@@ -88,6 +88,10 @@ class ForecastWindow:
     target: np.ndarray
 
     def __post_init__(self):
+        if self.input.ndim != 2 or self.target.ndim != 2:
+            raise ValueError(
+                f"input and target must be 2-d (steps x v) blocks, got shapes {self.input.shape} and {self.target.shape}"
+            )
         if self.target.shape[0] < 1:
             raise ValueError("target horizon must be at least 1")
         if self.input.shape[1] != self.target.shape[1]:

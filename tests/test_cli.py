@@ -526,10 +526,11 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
         "latin1.json": b'{"model": {"\xff": 1}}',
         "latin1.ckpt": b"\xff",
         "listed.ckpt": json.dumps({**json.loads(ckpt.read_text()), "params": []}).encode(),
+        "three.json": b'{"model": {"v": 3}}',
     }
     for name, body in files.items():
         (inputs / name).write_bytes(body)
-    stamps, header, latin1, array, latin1_config, latin1_ckpt, listed_ckpt = (inputs / name for name in files)
+    stamps, header, latin1, array, latin1_config, latin1_ckpt, listed_ckpt, three = (inputs / name for name in files)
     for argv, says in (
         (["ingest-check", "--input", str(stamps), "--timestamp-col"],
          f"error: {stamps}: SeriesFrame data has no variables"),
@@ -539,6 +540,11 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
         (["train", "--input", str(data), "--config", str(array)], f"error: {array}: config must be a JSON object"),
         (["train", "--input", str(data), "--config", str(latin1_config)],
          f"error: cannot read config {latin1_config}: 'utf-8' codec can't decode byte 0xff"),
+        (["train", "--input", str(data), "--window", "8", "--epochs", "0", "--config", str(three)],
+         f"error: {three}: model.v is 3, but the input has 1 variable(s)"),
+        # 10**17 steps need 711 PiB, more than any address space holds, so the allocation fails at once
+        (["forecast", "--input", str(data), "--checkpoint", str(ckpt), "--steps", str(10**17)],
+         "error: Unable to allocate"),
         (["forecast", "--input", str(data), "--checkpoint", str(latin1_ckpt), "--steps", "2"],
          f"error: {latin1_ckpt}: not a tscast-checkpoint file: 'utf-8' codec can't decode byte 0xff"),
         (["evaluate", "--input", str(data), "--checkpoint", str(wide_ckpt)],

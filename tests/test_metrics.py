@@ -186,7 +186,7 @@ def _sweep_windows(seed, count):
     """(a, b, lo, hi, reference cells) for full matrices and the FastDTW
     bands of radius 0-2 projected from the exact coarse path."""
     for a, b in _tied_pairs(seed, count, longest=60):
-        yield a, b, 0, b.size - 1, [(i, j) for i in range(a.size) for j in range(b.size)]
+        yield a, b, [0] * a.size, [b.size - 1] * a.size, [(i, j) for i in range(a.size) for j in range(b.size)]
         _, coarse_path = dtw_exact_path(_halve(a), _halve(b))
         for radius in (0, 1, 2):
             lo, hi = _expand_window(coarse_path, a.size, b.size, radius)
@@ -197,14 +197,14 @@ def test_row_and_diagonal_sweeps_equal_the_reference():
     wide = narrow = 0
     for a, b, lo, hi, cells in _sweep_windows(15, 60):
         ref_cost, ref_path = _ref_dtw_window(a, b, cells)
-        for sweep in (_dtw_rows, _dtw_diagonals):
-            assert sweep(a, b, lo, hi, with_path=True) == (ref_cost, ref_path)
-            assert sweep(a, b, lo, hi, with_path=False) == (ref_cost, None)
+        assert _dtw_rows(a, b, lo, hi, with_path=True) == (ref_cost, ref_path)
+        assert _dtw_rows(a, b, lo, hi, with_path=False) == (ref_cost, None)
+        assert _dtw_diagonals(a, b, lo, hi) == ref_cost
         if len(cells) > ROW_SWEEP_CELLS * (a.size + b.size - 1):
             wide += 1
         else:
             narrow += 1
-    # windows on both sides of the choice _dtw_window makes
+    # windows on both sides of the choice _fastdtw makes for a cost alone
     assert wide >= 10 and narrow >= 100
 
 
@@ -234,9 +234,9 @@ def test_dtw_window_picks_the_sweep_by_cells_per_diagonal(monkeypatch):
     calls = []
 
     def spy(sweep):
-        def run(a, b, lo, hi, with_path):
+        def run(a, b, *window_and_flag):
             calls.append((sweep.__name__, a.size, b.size))
-            return sweep(a, b, lo, hi, with_path)
+            return sweep(a, b, *window_and_flag)
 
         return run
 
@@ -249,6 +249,14 @@ def test_dtw_window_picks_the_sweep_by_cells_per_diagonal(monkeypatch):
     fastdtw(a, b, 1)
     # the last call is the top level, 100 by 100 in a band of radius 1
     assert calls[-1] == ("_dtw_rows", 100, 100)
+    # every warp path comes from the row sweep, however wide its window
+    calls.clear()
+    assert dtw_exact_path(a, b) == _ref_full(a, b)
+    assert calls == [("_dtw_rows", 100, 100)]
+    for a, b in _tied_pairs(19, 4, shortest=80, longest=80):
+        calls.clear()
+        assert _fastdtw(a, b, 40, with_path=True) == _ref_fastdtw(a, b, 40)
+        assert calls == [("_dtw_rows", 40, 40), ("_dtw_rows", 80, 80)]
 
 
 def test_expand_window_covers_the_reference_cells():

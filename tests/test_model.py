@@ -704,6 +704,11 @@ def test_ridge_rejects_non_finite_input(bad):
         ridge_fit(X, y_bad)
 
 
+def test_ridge_rejects_an_x_with_no_rows():
+    with pytest.raises(ValueError, match=r"ridge_fit: X has no rows, got shape \(0, 2\)"):
+        ridge_fit(np.zeros((0, 2)), np.zeros(0))
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 

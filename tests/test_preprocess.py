@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,10 @@ def test_forecast_window_invariants():
         ForecastWindow(input=np.zeros((8, 1)), target=np.zeros((0, 1)))
     with pytest.raises(ValueError, match="variable counts differ"):
         ForecastWindow(input=np.zeros((8, 2)), target=np.zeros((1, 1)))
+    for input_shape, target_shape in (((5,), (1, 1)), ((5, 1), (1,)), ((5, 1, 1), (1, 1))):
+        message = f"must be 2-d (steps x v) blocks, got shapes {input_shape} and {target_shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ForecastWindow(input=np.zeros(input_shape), target=np.zeros(target_shape))
 
 
 # ---------------------------------------------------------------------------

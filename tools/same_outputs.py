@@ -7,7 +7,9 @@ checkout's ``src``). Both trees run the same commands on one generated
 two-variable series, each in its own scratch directory and with BLAS on
 one thread: ``ingest-check --out-dir``, ``train``, ``forecast``,
 ``evaluate``, ``crossval --horizons 3,5``, ``crossval --horizons 1,3,3``
-(a listed horizon 1 and a repeated horizon), ``synth-gen``,
+(a listed horizon 1 and a repeated horizon), ``crossval --horizons 80
+--radius 40`` (FastDTW warp paths over windows of more than 16 cells per
+anti-diagonal, 410 of them), ``synth-gen``,
 ``synth-ablate --seeds 0,1 --epochs 3``, and ``train`` and ``evaluate``
 of a 64-filter model with ``gru_hidden`` 128 at ``--window 64``, set by
 a ``wide.json`` config written beside ``series.csv``, whose
@@ -44,6 +46,8 @@ COMMANDS = [
      "--out-dir", "crossval"],
     ["crossval", "--input", "series.csv", "--window", "16", "--epochs", "2", "--folds", "3", "--horizons", "1,3,3",
      "--out-dir", "crossval-repeat"],
+    ["crossval", "--input", "series.csv", "--window", "16", "--epochs", "1", "--folds", "3", "--horizons", "80",
+     "--radius", "40", "--out-dir", "crossval-wide-radius"],
     ["synth-gen", "--n-series", "6", "--length", "64", "--seed", "3", "--out-dir", "synth-gen"],
     ["synth-ablate", "--seeds", "0,1", "--epochs", "3", "--out-dir", "ablate"],
     ["train", "--input", "series.csv", "--config", "wide.json", "--window", "64", "--epochs", "1",
