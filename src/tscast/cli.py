@@ -385,6 +385,10 @@ def _cmd_forecast(args) -> int:
     _check_counts(args)
     frame = _ingest(args)
     params, model_config = _load_model(args, frame)
+    if frame.length < model_config.T:
+        raise CliError(
+            f"{args.input}: {frame.length} rows, fewer than the checkpoint's window T={model_config.T}"
+        )
     manifest = RunManifest(args, model=model_config)
 
     processed, stats = preprocess_frame(frame)

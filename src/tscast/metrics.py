@@ -18,13 +18,14 @@ one of two sweeps:
 
 - a cost alone over more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal:
   ``_dtw_diagonals`` sweeps the anti-diagonals d = i + j, a few numpy
-  operations per diagonal (about 4 us each, whatever its length);
+  operations per diagonal (about 2.2 us each, whatever its length);
 - everything else, every warp path included: ``_dtw_rows`` sweeps the
-  rows over Python floats, about 0.15-0.25 us a cell with no numpy call
-  per row, and traces the path back over the rows it kept.
+  rows over Python floats, about 0.1 us a cell and 0.4 us a row (0.75 us
+  where the window moves and the row above is copied), with no numpy
+  call, and traces the path back over the rows it kept.
 
-The two cost the same at 15-24 cells per diagonal on a 2-core Xeon VM
-(two measurements; 16 is at the low end, where the rows are never the
+The two cost the same at 18-24 cells per diagonal on a 2-core Xeon VM
+(three measurements; 18 is at the low end, where the rows are never the
 slower sweep). So 100-point exact costs take the diagonals, and 20-point
 pairs, FastDTW bands of small radius and every path the rows. Both keep
 only the window's cells, so a FastDTW band takes memory linear in the
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 BRUTEFORCE_LIMIT = 7
-ROW_SWEEP_CELLS = 16  # window cells per anti-diagonal up to which a cost alone sweeps rows
+ROW_SWEEP_CELLS = 18  # window cells per anti-diagonal up to which a cost alone sweeps rows
 
 
 def mae_metric(pred, target) -> float:
@@ -122,8 +123,8 @@ def _dtw_diagonals(a, b, lo, hi) -> float:
     n, m = a.size, b.size
     diagonals = np.arange(n + m - 1)
     rows = diagonals[:n]
-    first = (rows + np.asarray(hi)).searchsorted(diagonals)
-    count = (rows + np.asarray(lo)).searchsorted(diagonals, "right") - first
+    first = (rows + np.fromiter(hi, np.intp, n)).searchsorted(diagonals)
+    count = (rows + np.fromiter(lo, np.intp, n)).searchsorted(diagonals, "right") - first
     base = (count + 2).cumsum() - count - first
     cell_diag = diagonals.repeat(count)
     cell_pos = np.arange(cell_diag.size) + 2 * cell_diag + 3
@@ -143,28 +144,34 @@ def _dtw_diagonals(a, b, lo, hi) -> float:
 
 def _dtw_rows(a, b, lo, hi, with_path: bool):
     """The DTW cost over the window lo[i] <= j <= hi[i], and if asked its
-    warp path, one row at a time over Python floats.
+    warp path, one row at a time over the floats of lists ``a`` and ``b``.
 
     Row i is a list over columns lo[i] - 1 .. hi[i], the first inf. It is
     computed from ``up``, row i - 1's costs over the same columns, inf
-    outside row i - 1's window. Row -1 is [0.0], its one cell (-1, -1)
-    at cost 0, so cell (0, 0) adds its local cost to 0 exactly. Without a
+    outside row i - 1's window: row i - 1 itself if its window is the
+    same, else a padded copy. Row -1 is [0.0], its one cell (-1, -1) at
+    cost 0, so cell (0, 0) adds its local cost to 0 exactly. Without a
     path only the previous row is kept; with one, every (up, row) pair is,
     and the path is traced back over them from (n-1, m-1), taking among
     equal-cost predecessors (i-1, j-1), then (i-1, j), then (i, j-1).
     """
-    n, m = a.size, b.size
-    a, b = a.tolist(), b.tolist()
+    n, m = len(a), len(b)
     inf = math.inf
     kept = []
-    prev, prev_j0 = [0.0], 0
+    prev, prev_j0, prev_j1 = [0.0], 0, -1  # row -1 spans column -1 alone, so row 0 copies
     for x, j0, j1 in zip(a, lo, hi):
-        up = prev[j0 - prev_j0 : j1 + 2 - prev_j0]
-        up += [inf] * (j1 - j0 + 2 - len(up))
+        if j0 == prev_j0 and j1 == prev_j1:
+            up = prev
+        else:
+            up = prev[j0 - prev_j0 : j1 + 2 - prev_j0]
+            up += [inf] * (j1 - j0 + 2 - len(up))
+            b_row = b[j0 : j1 + 1]
         row = [inf]
         append = row.append
         left = inf
-        for y, c_diag, c_up in zip(b[j0 : j1 + 1], up, up[1:]):
+        ups = iter(up)
+        next(ups)
+        for y, c_diag, c_up in zip(b_row, up, ups):
             if c_up < c_diag:
                 c_diag = c_up
             if left < c_diag:
@@ -173,7 +180,7 @@ def _dtw_rows(a, b, lo, hi, with_path: bool):
             append(left)
         if with_path:
             kept.append((up, row))
-        prev, prev_j0 = row, j0
+        prev, prev_j0, prev_j1 = row, j0, j1
 
     cost = _finite_cost(prev[-1], n, m)
     if not with_path:
@@ -240,34 +247,40 @@ def _fastdtw(a, b, radius, with_path):
     checked sequences ``a`` and ``b`` at FastDTW radius ``radius``, where
     ``None`` means the whole matrix (exact DTW).
 
-    The window is the column range lo[i] <= j <= hi[i] of each row i: the
-    whole matrix at the base case, else the coarse path projected up. A
-    cost alone over more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal
-    runs the numpy diagonal sweep; everything else, every path included,
-    the row sweep over Python floats. Both give the same bits.
+    A cost alone over more than ``ROW_SWEEP_CELLS`` cells per anti-diagonal
+    runs the numpy diagonal sweep over the arrays; everything else, every
+    path included, the row sweep over their Python floats. Both give the
+    same bits.
     """
     n, m = a.size, b.size
-    if radius is None or n <= radius + 2 or m <= radius + 2:
-        lo, hi = [0] * n, [m - 1] * n
-    else:
-        _, coarse_path = _fastdtw(_halve(a), _halve(b), radius, with_path=True)
-        lo, hi = _expand_window(coarse_path, n, m, radius)
+    xs, ys = a.tolist(), b.tolist()
+    lo, hi = _window(xs, ys, radius)
     if not with_path and sum(hi) - sum(lo) + n > ROW_SWEEP_CELLS * (n + m - 1):
         return _dtw_diagonals(a, b, lo, hi), None
-    return _dtw_rows(a, b, lo, hi, with_path)
+    return _dtw_rows(xs, ys, lo, hi, with_path)
 
 
-def _halve(x: np.ndarray) -> np.ndarray:
-    """Average consecutive pairs; an odd trailing element is kept as-is.
+def _window(xs, ys, radius):
+    """Per-row column ranges (lo, hi) of the window at FastDTW radius
+    ``radius`` for lists of floats ``xs`` and ``ys``: the whole matrix at
+    the base case, else the coarse pair's warp path projected up."""
+    n, m = len(xs), len(ys)
+    if radius is None or n <= radius + 2 or m <= radius + 2:
+        return [0] * n, [m - 1] * n
+    xs, ys = _halve(xs), _halve(ys)
+    _, coarse_path = _dtw_rows(xs, ys, *_window(xs, ys, radius), True)
+    return _expand_window(coarse_path, n, m, radius)
 
-    Computed over Python floats, whose (p + q) / 2.0 rounds as numpy's
-    does, to skip numpy's per-call set-up on short levels.
+
+def _halve(xs: list) -> list:
+    """Average consecutive pairs of a list of floats; an odd trailing
+    element is kept as-is. Python's (p + q) / 2.0 rounds as numpy's does.
     """
-    xs = x.tolist()
-    out = [(p + q) / 2.0 for p, q in zip(xs[0::2], xs[1::2])]
+    pairs = iter(xs)
+    out = [(p + q) / 2.0 for p, q in zip(pairs, pairs)]
     if len(xs) % 2:
         out.append(xs[-1])
-    return np.array(out)
+    return out
 
 
 def _expand_window(coarse_path, n, m, radius):
@@ -286,13 +299,9 @@ def _expand_window(coarse_path, n, m, radius):
         first[i] = j
     for i, j in coarse_path:
         last[i] = j
-    top = n_coarse - 1
-    lo, hi = [], []
-    for i in range(n_coarse):
-        j0 = max(2 * (first[max(i - radius, 0)] - radius), 0)
-        j1 = min(2 * (last[min(i + radius, top)] + radius) + 1, m - 1)
-        lo += (j0, j0)
-        hi += (j1, j1)
+    lo, hi = [0] * (2 * n_coarse), [0] * (2 * n_coarse)
+    lo[::2] = lo[1::2] = [max(2 * (j - radius), 0) for j in ([first[0]] * radius + first)[:n_coarse]]
+    hi[::2] = hi[1::2] = [min(2 * (j + radius) + 1, m - 1) for j in (last + [last[-1]] * radius)[radius:]]
     return lo[:n], hi[:n]
 
 

@@ -238,6 +238,13 @@ def test_forecast_command_long_format(tmp_path):
     step, variable, value = lines[1].split(",")
     assert step == "0" and variable == "y0"
     float(value)
+    # an input of exactly T = 8 rows holds one window, enough to forecast from
+    _write_series_csv(data, length=8, v=2)
+    assert run([
+        "forecast", "--input", str(data), "--checkpoint", str(train_dir / "checkpoint.json"),
+        "--steps", "6", "--out-dir", str(tmp_path / "fc8"),
+    ]) == 0
+    assert len((tmp_path / "fc8" / "forecast.csv").read_text().strip().splitlines()) == 1 + 6 * 2
 
 
 def test_forecast_writes_the_input_units(tmp_path):
@@ -527,10 +534,13 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
         "latin1.ckpt": b"\xff",
         "listed.ckpt": json.dumps({**json.loads(ckpt.read_text()), "params": []}).encode(),
         "three.json": b'{"model": {"v": 3}}',
+        "short.csv": b"y0\n" + b"0.5\n" * 7,  # one row fewer than the checkpoint's T=8
     }
     for name, body in files.items():
         (inputs / name).write_bytes(body)
-    stamps, header, latin1, array, latin1_config, latin1_ckpt, listed_ckpt, three = (inputs / name for name in files)
+    stamps, header, latin1, array, latin1_config, latin1_ckpt, listed_ckpt, three, short = (
+        inputs / name for name in files
+    )
     for argv, says in (
         (["ingest-check", "--input", str(stamps), "--timestamp-col"],
          f"error: {stamps}: SeriesFrame data has no variables"),
@@ -545,6 +555,8 @@ def test_a_command_that_fails_leaves_no_output_directory(tmp_path, capsys):
         # 10**17 steps need 711 PiB, more than any address space holds, so the allocation fails at once
         (["forecast", "--input", str(data), "--checkpoint", str(ckpt), "--steps", str(10**17)],
          "error: Unable to allocate"),
+        (["forecast", "--input", str(short), "--checkpoint", str(ckpt), "--steps", "2"],
+         f"error: {short}: 7 rows, fewer than the checkpoint's window T=8"),
         (["forecast", "--input", str(data), "--checkpoint", str(latin1_ckpt), "--steps", "2"],
          f"error: {latin1_ckpt}: not a tscast-checkpoint file: 'utf-8' codec can't decode byte 0xff"),
         (["evaluate", "--input", str(data), "--checkpoint", str(wide_ckpt)],

@@ -14,10 +14,17 @@ ablation config (T=16, 4 filters, k=5, H=8, L=4, batch 64):
 - ``forecast_B1``: one ``forecast`` of a single window;
 - ``forecast_batch``: an untaped ``forecast_batch`` of the whole batch.
 
-Both sides get the same parameters and windows. The table gives the
-median and the minimum over the rounds (25 by default) of each side, and
-the rounds the change was faster in. A last line says whether both sides
-computed the same bits for every output and gradient.
+and the DTW calls the benchmark scores with, on random-walk pairs:
+
+- ``dtw_multivariate 20x1``: exact DTW of a (20, 1) block pair, as the
+  ablation scores a rollout;
+- ``dtw_exact`` and ``fastdtw`` (radius 1) at 10 and 100 points, as the
+  default workload scores its rollouts and segments.
+
+Both sides get the same parameters, windows and pairs. The table gives
+the median and the minimum over the rounds (25 by default) of each side,
+and the rounds the change was faster in. A last line says whether both
+sides computed the same bits for every output, gradient and DTW cost.
 
 This is a report for speed changes, not a test: times depend on the
 machine and on what else runs on it.
@@ -37,6 +44,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 REPEATS = {"train_step": 5, "forecast_B1": 20, "forecast_batch": 5}
+DTW_CASES = {  # name: (metrics function, points, extra argument, repeats)
+    "dtw_multivariate 20x1": ("dtw_multivariate", 20, (), 50),
+    "dtw_exact 10": ("dtw_exact", 10, (), 100),
+    "fastdtw 10 r=1": ("fastdtw", 10, (1,), 50),
+    "dtw_exact 100": ("dtw_exact", 100, (), 10),
+    "fastdtw 100 r=1": ("fastdtw", 100, (1,), 10),
+}
 
 
 def load(name: str, src: Path):
@@ -69,6 +83,12 @@ class Side:
             windows = rng.normal(size=(batch, config.T, config.v))
             targets = rng.normal(size=(config.L, batch, config.v))
             self.cases[label] = (config, params, windows, targets)
+        self.pairs = {}
+        for name, (fn, points, extra, repeats) in DTW_CASES.items():
+            a, b = np.cumsum(np.random.default_rng(points).normal(size=(2, points)), axis=1)
+            if fn == "dtw_multivariate":
+                a, b = a[:, None], b[:, None]
+            self.pairs[name] = (getattr(ts.metrics, fn), (a, b, *extra), repeats)
 
     def train_step(self, label):
         ts = self.ts
@@ -85,6 +105,17 @@ class Side:
     def forecast_batch(self, label):
         config, params, windows, _ = self.cases[label]
         return [self.ts.model.forecast_batch(windows, params, config).values]
+
+    def calls(self):
+        """Case name -> (a call returning the case's outputs, repeats), for every case."""
+        calls = {
+            f"{label} {case}": (lambda label=label, case=case: getattr(self, case)(label), repeats)
+            for label, _, _ in setups(self.ts)
+            for case, repeats in REPEATS.items()
+        }
+        for name, (fn, args, repeats) in self.pairs.items():
+            calls[name] = (lambda fn=fn, args=args: [fn(*args)], repeats)
+        return calls
 
 
 def timed(call, repeats: int) -> float:
@@ -106,29 +137,27 @@ def main(argv: list[str]) -> int:
         if not (src / "tscast" / "__init__.py").is_file():
             sys.exit(f"{src} holds no tscast package")
     sides = [Side(load(name, src)) for name, src in zip(("tscast_parent", "tscast_change"), srcs)]
-    labels = [label for label, _, _ in setups(sides[0].ts)]
-    keys = [(label, case) for label in labels for case in REPEATS]
+    calls = [side.calls() for side in sides]
 
     same = all(
-        all(np.array_equal(a, b) for a, b in zip(getattr(sides[0], case)(label), getattr(sides[1], case)(label)))
-        for label, case in keys
+        all(np.array_equal(a, b) for a, b in zip(calls[0][name][0](), calls[1][name][0]())) for name in calls[0]
     )
-    times = {key: ([], []) for key in keys}
+    times = {name: ([], []) for name in calls[0]}
     for r in range(rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        for label, case in keys:
+        for name, (_, repeats) in calls[0].items():
             for i in order:
-                times[label, case][i].append(timed(lambda: getattr(sides[i], case)(label), REPEATS[case]))
+                times[name][i].append(timed(calls[i][name][0], repeats))
 
     print(f"{rounds} rounds, one BLAS thread; times in ms")
     print(f"{'case':<26}{'parent med':>11}{'change med':>11}{'parent min':>11}{'change min':>11}{'change wins':>13}")
-    for (label, case), (parent, change) in times.items():
+    for name, (parent, change) in times.items():
         wins = sum(c < p for p, c in zip(parent, change))
         print(
-            f"{label + ' ' + case:<26}{np.median(parent):>11.3f}{np.median(change):>11.3f}"
+            f"{name:<26}{np.median(parent):>11.3f}{np.median(change):>11.3f}"
             f"{min(parent):>11.3f}{min(change):>11.3f}{f'{wins}/{rounds}':>13}"
         )
-    print("outputs and gradients:", "same bits" if same else "DIFFER")
+    print("outputs, gradients and DTW costs:", "same bits" if same else "DIFFER")
     return 0
 
 
